@@ -2,6 +2,7 @@
 #define WEBDIS_CLIENT_USER_SITE_H_
 
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -10,6 +11,7 @@
 
 #include "client/cht.h"
 #include "common/clock.h"
+#include "common/counters.h"
 #include "common/status.h"
 #include "disql/compiler.h"
 #include "net/reliable.h"
@@ -82,42 +84,55 @@ struct UserSiteOptions {
   std::function<uint64_t()> epoch_source;
 };
 
+/// Every QueryRunStats counter as X(name), in ToText order.
+#define WEBDIS_QUERY_RUN_COUNTERS(X)                                          \
+  X(reports_received)                                                         \
+  X(node_reports)                                                             \
+  X(duplicate_drop_reports)                                                   \
+  X(undeliverable_reports)                                                    \
+  X(result_rows_received)                                                     \
+  X(duplicate_rows_filtered)                                                  \
+  X(termination_messages_sent)                                                \
+  X(root_acks_received) /* ack-tree termination baseline */                   \
+  /* Failure handling (PROTOCOL.md): */                                       \
+  X(entries_gc) /* CHT keys garbage-collected past the deadline */            \
+  X(redeliveries_suppressed) /* duplicate report transfers absorbed */        \
+  /* [[nodiscard]] audit counters — send errors that are observed (never      \
+     silently dropped) but where the protocol's recovery is asynchronous: */  \
+  X(dispatch_send_errors) /* transient initial-dispatch errors */             \
+  X(termination_send_failures) /* kTerminate lost; passive                    \
+                                  termination still covers it */              \
+  /* Overload & degradation (PROTOCOL.md §7): */                              \
+  X(budget_exceeded_reports) /* visits shed/expired/truncated */              \
+  /* Dynamic web & churn (PROTOCOL.md §10): */                                \
+  X(site_retired_reports) /* node reports naming a retired site */            \
+  X(epoch_gated_reports) /* nodes hidden by the epoch pin */                  \
+  /* Cross-query sharing (PROTOCOL.md §9): batched report envelopes arriving  \
+     on this query's socket as the batch carrier, and members addressed to a  \
+     query whose result socket already closed (the batch rode the carrier's   \
+     open socket past the refusal an individual send would have hit; the      \
+     drop below IS the passive termination of §2.8 for that member). */       \
+  X(report_batches_received)                                                  \
+  X(report_batch_members_received)                                            \
+  X(batch_members_dropped_closed)
+
 /// Per-query client-side statistics.
 struct QueryRunStats {
-  uint64_t reports_received = 0;
-  uint64_t node_reports = 0;
-  uint64_t duplicate_drop_reports = 0;
-  uint64_t undeliverable_reports = 0;
-  uint64_t result_rows_received = 0;
-  uint64_t duplicate_rows_filtered = 0;
-  uint64_t termination_messages_sent = 0;
-  uint64_t root_acks_received = 0;  // ack-tree termination baseline
-  // Failure handling (PROTOCOL.md):
-  uint64_t entries_gc = 0;  // CHT keys garbage-collected past the deadline
-  uint64_t redeliveries_suppressed = 0;  // duplicate report transfers absorbed
-  // [[nodiscard]] audit counters — send errors that are observed (never
-  // silently dropped) but where the protocol's recovery is asynchronous:
-  uint64_t dispatch_send_errors = 0;     // transient initial-dispatch errors
-  uint64_t termination_send_failures = 0;  // kTerminate lost; passive
-                                           // termination still covers it
-  // Overload & degradation (PROTOCOL.md §7):
-  uint64_t budget_exceeded_reports = 0;  // visits shed/expired/truncated
-  // Dynamic web & churn (PROTOCOL.md §10):
-  uint64_t site_retired_reports = 0;  // node reports naming a retired site
-  uint64_t epoch_gated_reports = 0;   // nodes hidden by the epoch pin
-  // Cross-query sharing (PROTOCOL.md §9): batched report envelopes arriving
-  // on this query's socket as the batch carrier, and members addressed to a
-  // query whose result socket already closed (the batch rode the carrier's
-  // open socket past the refusal an individual send would have hit; the
-  // drop below IS the passive termination of §2.8 for that member).
-  uint64_t report_batches_received = 0;
-  uint64_t report_batch_members_received = 0;
-  uint64_t batch_members_dropped_closed = 0;
+  WEBDIS_QUERY_RUN_COUNTERS(WEBDIS_COUNTER_MEMBER)
 
   /// Human-readable dump of the non-zero counters, one `name: value` per
   /// line — degradation should be observable, not just counted.
   std::string ToText() const;
 };
+
+#define WEBDIS_FIELD(name) {#name, &QueryRunStats::name},
+/// The list as a table of name, member pointer and merge kind.
+inline constexpr CounterField<QueryRunStats> kQueryRunCounters[] = {
+    WEBDIS_QUERY_RUN_COUNTERS(WEBDIS_FIELD)};
+#undef WEBDIS_FIELD
+static_assert(sizeof(QueryRunStats) ==
+                  std::size(kQueryRunCounters) * sizeof(uint64_t),
+              "declare QueryRunStats counters in their list");
 
 /// The WEBDIS client process at the user site: parses nothing itself (takes
 /// a CompiledQuery), opens the listening result socket, dispatches the query

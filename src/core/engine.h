@@ -1,6 +1,7 @@
 #ifndef WEBDIS_CORE_ENGINE_H_
 #define WEBDIS_CORE_ENGINE_H_
 
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -8,6 +9,7 @@
 
 #include "baseline/data_shipping.h"
 #include "client/user_site.h"
+#include "common/counters.h"
 #include "common/status.h"
 #include "disql/compiler.h"
 #include "net/reliable.h"
@@ -49,21 +51,37 @@ struct EngineOptions {
   SimDuration completion_timeout = 10 * kSecond;
 };
 
+/// Every TrafficSummary counter as X(name).
+#define WEBDIS_TRAFFIC_COUNTERS(X)                                            \
+  X(messages)                                                                 \
+  X(bytes)                                                                    \
+  X(inter_host_messages)                                                      \
+  X(inter_host_bytes)                                                         \
+  X(query_messages)                                                           \
+  X(query_bytes)                                                              \
+  X(report_messages)                                                          \
+  X(report_bytes)                                                             \
+  X(fetch_messages)                                                           \
+  X(fetch_bytes)                                                              \
+  X(terminate_messages)                                                       \
+  X(connection_refused)
+
 /// Aggregated network traffic for one run (deltas over the run).
 struct TrafficSummary {
-  uint64_t messages = 0;
-  uint64_t bytes = 0;
-  uint64_t inter_host_messages = 0;
-  uint64_t inter_host_bytes = 0;
-  uint64_t query_messages = 0;
-  uint64_t query_bytes = 0;
-  uint64_t report_messages = 0;
-  uint64_t report_bytes = 0;
-  uint64_t fetch_messages = 0;
-  uint64_t fetch_bytes = 0;
-  uint64_t terminate_messages = 0;
-  uint64_t connection_refused = 0;
+  WEBDIS_TRAFFIC_COUNTERS(WEBDIS_COUNTER_MEMBER)
 };
+
+#define WEBDIS_FIELD(name) {#name, &TrafficSummary::name},
+/// The list as a table of name, member pointer and merge kind.
+inline constexpr CounterField<TrafficSummary> kTrafficCounters[] = {
+    WEBDIS_TRAFFIC_COUNTERS(WEBDIS_FIELD)};
+#undef WEBDIS_FIELD
+static_assert(sizeof(TrafficSummary) ==
+                  std::size(kTrafficCounters) * sizeof(uint64_t),
+              "declare TrafficSummary counters in their list");
+
+/// Counter-wise `a - b`: the traffic between two snapshots.
+TrafficSummary Subtract(const TrafficSummary& a, const TrafficSummary& b);
 
 /// Everything measured about one query run.
 struct RunOutcome {
@@ -129,10 +147,10 @@ struct RunOutcome {
 /// Renders result sets as aligned text tables (the Figure 8 display).
 std::string FormatResults(const std::vector<relational::ResultSet>& results);
 
-/// Renders one run's degradation-relevant counters — client-side stats plus
-/// the aggregated server-side send-error / shed / breaker / budget counters
-/// — as `name: value` lines (zero counters omitted). The observability
-/// companion to the partial-outcome flags.
+/// Renders one run's outcome flags, then every non-zero client and
+/// aggregated server counter as `name: value` lines in list order (zero
+/// counters omitted), and for a parallel run the stepper's `parallel:` line.
+/// The observability companion to the partial-outcome flags.
 std::string FormatRunStats(const RunOutcome& outcome);
 
 /// A complete single-process WEBDIS deployment over the simulated network:

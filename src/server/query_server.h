@@ -3,12 +3,14 @@
 
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <list>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/status.h"
 #include "net/breaker.h"
 #include "net/reliable.h"
@@ -107,82 +109,99 @@ struct QueryServerOptions {
   PersistOptions persist;
 };
 
+/// Every QueryServerStats counter as X(name, merge), in `servers:` text
+/// order. `merge` folds one server's value into the run total
+/// (Engine::AggregateServerStats); see CONTRIBUTING.md "Adding a counter".
+#define WEBDIS_QUERY_SERVER_COUNTERS(X)                                       \
+  X(clones_received, kSum)                                                    \
+  X(nodes_processed, kSum)                                                    \
+  X(node_queries_evaluated, kSum)                                             \
+  X(answers_found, kSum)                                                      \
+  X(db_constructions, kSum)                                                   \
+  X(db_cache_hits, kSum)                                                      \
+  X(db_cache_evictions, kSum) /* LRU entries dropped for the byte budget */   \
+  X(db_cache_bytes, kSum) /* current cache footprint (approximate) */         \
+  X(duplicates_dropped, kSum)                                                 \
+  X(superset_rewrites, kSum)                                                  \
+  X(clones_forwarded, kSum)                                                   \
+  X(dead_ends, kSum) /* node-query evaluated and failed */                    \
+  X(missing_documents, kSum) /* clone destination not hosted here */          \
+  X(passive_terminations, kSum) /* report refused -> query purged */          \
+  X(active_terminations, kSum) /* kTerminate received */                      \
+  X(undeliverable_forwards, kSum)                                             \
+  X(decode_errors, kSum)                                                      \
+  X(acks_sent, kSum) /* ack-tree termination baseline only */                 \
+  X(acks_received, kSum) /* ack-tree termination baseline only */             \
+  X(ack_send_failures, kSum) /* acks lost at send time (tree may stall) */    \
+  /* Transient (non-refused) transport errors. Distinct from                  \
+     passive_terminations: only synchronous ConnectionRefused is the §2.8     \
+     protocol signal; an IoError mid-write must NOT purge the query — the     \
+     retry layer (when on) retransmits, else the CHT deadline sweep           \
+     recovers. */                                                             \
+  X(report_send_errors, kSum)                                                 \
+  X(forward_send_errors, kSum)                                                \
+  /* At-least-once delivery layer (PROTOCOL.md "Failure handling"): */        \
+  X(retries, kSum) /* retransmissions put on the wire */                      \
+  X(retry_exhausted, kSum) /* transfers abandoned after max attempts */       \
+  X(redeliveries_suppressed, kSum) /* duplicate transfers absorbed */         \
+  /* Overload protection (PROTOCOL.md §7): */                                 \
+  X(clones_shed, kSum) /* newcomers rejected at the full queue */             \
+  X(clones_evicted, kSum) /* queued clones evicted (earliest deadline) */     \
+  X(overload_nacks_sent, kSum) /* kOverloaded NACKs put on the wire */        \
+  X(overload_nacks_received, kSum) /* own forwards shed by a peer */          \
+  X(queue_peak, kMax) /* admission-queue high-water mark */                   \
+  X(budget_expired_clones, kSum) /* dead on arrival (deadline passed) */      \
+  X(budget_vetoed_forwards, kSum) /* dispatches blocked by hop/clone caps */  \
+  X(rows_truncated, kSum) /* result rows cut by the per-visit cap */          \
+  X(breaker_trips, kSum) /* closed/half-open -> open */                       \
+  X(breaker_short_circuits, kSum) /* forwards vetoed while open */            \
+  X(breaker_probes, kSum) /* half-open probe sends admitted */                \
+  X(breaker_recoveries, kSum) /* half-open -> closed */                       \
+  /* Durability (PROTOCOL.md §8). Like every other counter these survive      \
+     Crash()/Restart(): they are measurement, not recoverable state — and     \
+     the recovery triple below is precisely what distinguishes the three      \
+     Restart() outcomes (snapshot load / WAL replay / nothing durable). */    \
+  X(snapshots_written, kSum)                                                  \
+  X(wal_records_appended, kSum)                                               \
+  X(wal_append_errors, kSum) /* storage refused an append/sync */             \
+  X(recovered_from_snapshot, kSum) /* Restart() loaded a valid snapshot */    \
+  X(replayed_wal_records, kSum) /* WAL records applied at recovery */         \
+  X(cold_starts, kSum) /* Restart() found no usable durable state */          \
+  X(wal_records_discarded, kSum) /* torn/corrupt WAL tail dropped */          \
+  X(snapshot_load_rejected, kSum) /* bad magic/version/checksum */            \
+  X(recovered_clones, kSum) /* pending clones re-enqueued at recovery */      \
+  /* Cross-query sharing (PROTOCOL.md §9): */                                 \
+  X(result_cache_hits, kSum)                                                  \
+  X(result_cache_misses, kSum)                                                \
+  X(result_cache_evictions, kSum) /* LRU entries dropped for the budget */    \
+  X(result_cache_bytes, kSum) /* current footprint (approximate) */           \
+  X(clone_batches_sent, kSum) /* kCloneBatch envelopes dispatched */          \
+  X(clone_batch_members_sent, kSum)                                           \
+  X(clone_batches_received, kSum)                                             \
+  X(clone_batch_members_received, kSum)                                       \
+  X(report_batches_sent, kSum) /* kReportBatch envelopes dispatched */        \
+  X(report_batch_members_sent, kSum)                                          \
+  X(batches_shed, kSum) /* whole batch units NACKed/shed at admission */      \
+  /* Dynamic web & churn (PROTOCOL.md §10): */                                \
+  X(site_retired_nacks_sent, kSum) /* terminal NACKs sent while retired */    \
+  X(site_retired_nacks_received, kSum) /* own forwards hit a retired site */  \
+  X(retired_reports_sent, kSum) /* node reports carrying site-retired */      \
+  X(epoch_gated_nodes, kSum) /* destinations hidden by the epoch pin */
+
 /// Counters exposed for tests and benchmarks.
 struct QueryServerStats {
-  uint64_t clones_received = 0;
-  uint64_t nodes_processed = 0;
-  uint64_t node_queries_evaluated = 0;
-  uint64_t answers_found = 0;
-  uint64_t db_constructions = 0;
-  uint64_t db_cache_hits = 0;
-  uint64_t db_cache_evictions = 0;  // LRU entries dropped for the byte budget
-  uint64_t db_cache_bytes = 0;      // current cache footprint (approximate)
-  uint64_t duplicates_dropped = 0;
-  uint64_t superset_rewrites = 0;
-  uint64_t clones_forwarded = 0;
-  uint64_t dead_ends = 0;          // node-query evaluated and failed
-  uint64_t missing_documents = 0;  // clone destination not hosted here
-  uint64_t passive_terminations = 0;  // report refused -> query purged
-  uint64_t active_terminations = 0;   // kTerminate received
-  uint64_t undeliverable_forwards = 0;
-  uint64_t decode_errors = 0;
-  uint64_t acks_sent = 0;      // ack-tree termination baseline only
-  uint64_t acks_received = 0;  // ack-tree termination baseline only
-  uint64_t ack_send_failures = 0;  // acks lost at send time (tree may stall)
-  // Transient (non-refused) transport errors. Distinct from
-  // passive_terminations: only synchronous ConnectionRefused is the §2.8
-  // protocol signal; an IoError mid-write must NOT purge the query — the
-  // retry layer (when on) retransmits, else the CHT deadline sweep recovers.
-  uint64_t report_send_errors = 0;
-  uint64_t forward_send_errors = 0;
-  // At-least-once delivery layer (PROTOCOL.md "Failure handling"):
-  uint64_t retries = 0;            // retransmissions put on the wire
-  uint64_t retry_exhausted = 0;    // transfers abandoned after max attempts
-  uint64_t redeliveries_suppressed = 0;  // duplicate transfers absorbed
-  // Overload protection (PROTOCOL.md §7):
-  uint64_t clones_shed = 0;        // newcomers rejected at the full queue
-  uint64_t clones_evicted = 0;     // queued clones evicted (earliest deadline)
-  uint64_t overload_nacks_sent = 0;      // kOverloaded NACKs put on the wire
-  uint64_t overload_nacks_received = 0;  // own forwards shed by a peer
-  uint64_t queue_peak = 0;         // admission-queue high-water mark
-  uint64_t budget_expired_clones = 0;   // dead on arrival (deadline passed)
-  uint64_t budget_vetoed_forwards = 0;  // dispatches blocked by hop/clone caps
-  uint64_t rows_truncated = 0;     // result rows cut by the per-visit cap
-  uint64_t breaker_trips = 0;           // closed/half-open -> open
-  uint64_t breaker_short_circuits = 0;  // forwards vetoed while open
-  uint64_t breaker_probes = 0;          // half-open probe sends admitted
-  uint64_t breaker_recoveries = 0;      // half-open -> closed
-  // Durability (PROTOCOL.md §8). Like every other counter these survive
-  // Crash()/Restart(): they are measurement, not recoverable state — and
-  // the recovery triple below is precisely what distinguishes the three
-  // Restart() outcomes (snapshot load / WAL replay / nothing durable).
-  uint64_t snapshots_written = 0;
-  uint64_t wal_records_appended = 0;
-  uint64_t wal_append_errors = 0;       // storage refused an append/sync
-  uint64_t recovered_from_snapshot = 0;  // Restart() loaded a valid snapshot
-  uint64_t replayed_wal_records = 0;     // WAL records applied at recovery
-  uint64_t cold_starts = 0;  // Restart() found no usable durable state
-  uint64_t wal_records_discarded = 0;   // torn/corrupt WAL tail dropped
-  uint64_t snapshot_load_rejected = 0;  // bad magic/version/checksum
-  uint64_t recovered_clones = 0;  // pending clones re-enqueued at recovery
-  // Cross-query sharing (PROTOCOL.md §9):
-  uint64_t result_cache_hits = 0;
-  uint64_t result_cache_misses = 0;
-  uint64_t result_cache_evictions = 0;  // LRU entries dropped for the budget
-  uint64_t result_cache_bytes = 0;      // current footprint (approximate)
-  uint64_t clone_batches_sent = 0;      // kCloneBatch envelopes dispatched
-  uint64_t clone_batch_members_sent = 0;
-  uint64_t clone_batches_received = 0;
-  uint64_t clone_batch_members_received = 0;
-  uint64_t report_batches_sent = 0;     // kReportBatch envelopes dispatched
-  uint64_t report_batch_members_sent = 0;
-  uint64_t batches_shed = 0;  // whole batch units NACKed/shed at admission
-  // Dynamic web & churn (PROTOCOL.md §10):
-  uint64_t site_retired_nacks_sent = 0;  // terminal NACKs sent while retired
-  uint64_t site_retired_nacks_received = 0;  // own forwards hit a retired site
-  uint64_t retired_reports_sent = 0;  // node reports carrying site-retired
-  uint64_t epoch_gated_nodes = 0;     // destinations hidden by the epoch pin
+  WEBDIS_QUERY_SERVER_COUNTERS(WEBDIS_COUNTER_MEMBER)
 };
+
+#define WEBDIS_FIELD(name, merge) \
+  {#name, &QueryServerStats::name, CounterMerge::merge},
+/// The list as a table of name, member pointer and merge kind.
+inline constexpr CounterField<QueryServerStats> kQueryServerCounters[] = {
+    WEBDIS_QUERY_SERVER_COUNTERS(WEBDIS_FIELD)};
+#undef WEBDIS_FIELD
+static_assert(sizeof(QueryServerStats) ==
+                  std::size(kQueryServerCounters) * sizeof(uint64_t),
+              "declare QueryServerStats counters in their list");
 
 /// One per-node visit, emitted to the observer hook (used by the figure
 /// reproductions to trace PureRouter/ServerRouter roles and states).

@@ -61,6 +61,12 @@ struct ResolveCase {
   const char* expected;  // ResourceKey + optional #fragment
 };
 
+// Names each case by its inputs. Without this gtest prints the three raw
+// pointers, and the discovered test names change with every process layout.
+void PrintTo(const ResolveCase& c, std::ostream* os) {
+  *os << c.base << " + " << c.href;
+}
+
 class ResolveUrlTest : public ::testing::TestWithParam<ResolveCase> {};
 
 TEST_P(ResolveUrlTest, Resolves) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/engine.h"
@@ -652,6 +653,84 @@ TEST(RecoveryStatsFormatTest, FormatRunStatsEmitsRecoveryCounters) {
   EXPECT_NE(text.find("replayed_wal_records: 2"), std::string::npos);
   EXPECT_NE(text.find("cold_starts: 3"), std::string::npos);
   EXPECT_NE(text.find("snapshots_written: 4"), std::string::npos);
+}
+
+// Every counter in each struct's list takes part in its merge, difference
+// and text: distinct values per field make a skipped or cross-wired field
+// show up as a wrong number.
+TEST(RecoveryStatsFormatTest, EveryCounterMergesAndPrints) {
+  QueryServerStats a;
+  QueryServerStats b;
+  uint64_t i = 0;
+  for (const CounterField<QueryServerStats>& f : kQueryServerCounters) {
+    ++i;
+    a.*f.member = i;
+    b.*f.member = 1000 * i;
+  }
+  QueryServerStats total = a;
+  MergeCounters(kQueryServerCounters, b, &total);
+  for (const CounterField<QueryServerStats>& f : kQueryServerCounters) {
+    const uint64_t expected = f.merge == CounterMerge::kMax
+                                  ? std::max(a.*f.member, b.*f.member)
+                                  : a.*f.member + b.*f.member;
+    EXPECT_EQ(total.*f.member, expected) << f.name;
+  }
+  EXPECT_EQ(total.queue_peak, b.queue_peak);  // a high-water mark, not a sum
+  EXPECT_EQ(total.clones_received, a.clones_received + b.clones_received);
+
+  core::RunOutcome outcome;
+  outcome.server_stats = total;
+  const std::string text = core::FormatRunStats(outcome);
+  for (const CounterField<QueryServerStats>& f : kQueryServerCounters) {
+    EXPECT_NE(text.find(StringPrintf(
+                  "  %s: %llu\n", f.name,
+                  static_cast<unsigned long long>(total.*f.member))),
+              std::string::npos)
+        << f.name;
+  }
+  // The counters the hand-written text used to leave out.
+  const size_t servers = text.find("servers:\n");
+  ASSERT_NE(servers, std::string::npos);
+  for (const std::string name :
+       {"nodes_processed", "node_queries_evaluated", "answers_found",
+        "db_constructions", "db_cache_hits", "duplicates_dropped",
+        "superset_rewrites", "dead_ends", "missing_documents",
+        "passive_terminations", "active_terminations", "decode_errors",
+        "acks_sent", "acks_received", "ack_send_failures",
+        "redeliveries_suppressed"}) {
+    EXPECT_NE(text.find("  " + name + ": ", servers), std::string::npos)
+        << name;
+  }
+
+  client::QueryRunStats run;
+  i = 0;
+  for (const CounterField<client::QueryRunStats>& f :
+       client::kQueryRunCounters) {
+    run.*f.member = ++i;
+  }
+  const std::string run_text = run.ToText();
+  for (const CounterField<client::QueryRunStats>& f :
+       client::kQueryRunCounters) {
+    EXPECT_NE(run_text.find(StringPrintf(
+                  "%s: %llu\n", f.name,
+                  static_cast<unsigned long long>(run.*f.member))),
+              std::string::npos)
+        << f.name;
+  }
+
+  core::TrafficSummary later;
+  core::TrafficSummary earlier;
+  i = 0;
+  for (const CounterField<core::TrafficSummary>& f : core::kTrafficCounters) {
+    ++i;
+    later.*f.member = 100 * i + i;
+    earlier.*f.member = 100 * i;
+  }
+  const core::TrafficSummary delta = core::Subtract(later, earlier);
+  i = 0;
+  for (const CounterField<core::TrafficSummary>& f : core::kTrafficCounters) {
+    EXPECT_EQ(delta.*f.member, ++i) << f.name;
+  }
 }
 
 }  // namespace

@@ -67,7 +67,8 @@ the ones whose violation breaks distributed termination or reproducibility
   iter-determinism
                 Flags range-for loops over std::unordered_map /
                 std::unordered_set inside functions that feed serialization
-                (EncodeTo / serialize::Encoder / Put* / FormatRunStats).
+                (EncodeTo / serialize::Encoder / Put* / FormatRunStats /
+                AppendCounterText).
                 Hash-table iteration order is implementation-defined, so
                 bytes produced from it drift across stdlibs and runs —
                 breaking golden frames, WAL replay equivalence, and the
@@ -204,7 +205,7 @@ RANGE_FOR = re.compile(
 SERIAL_MARKER = re.compile(
     r"\b(EncodeTo|serialize::Encoder|Encoder\s*[&*]|"
     r"Put(?:U8|U16|U32|U64|Varint|Bool|String|Raw|LengthPrefixed)|"
-    r"FormatRunStats)\b")
+    r"FormatRunStats|AppendCounterText)\b")
 # A '{' opens a function (or lambda) body when the text before it ends with
 # the parameter list's ')' plus optional qualifiers. Control-flow statements
 # (for/if/while/switch/catch) also match ') {' and are excluded by keyword.

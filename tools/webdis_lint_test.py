@@ -719,6 +719,21 @@ struct EchoBatch {
         self.assertTrue(any("[iter-determinism]" in e and "hosts_" in e
                             for e in errors), errors)
 
+    def test_iter_determinism_counter_text_flagged(self):
+        self.write_consistent_tree()
+        self.write("src/client/stats.cc",
+                   "std::unordered_map<std::string, Stats> per_host_;\n"
+                   "std::string Render() {\n"
+                   "  std::string out;\n"
+                   "  for (const auto& [host, s] : per_host_) {\n"
+                   "    AppendCounterText(kFields, s, \"  \", &out);\n"
+                   "  }\n"
+                   "  return out;\n"
+                   "}\n")
+        errors = self.run_lint({"iter-determinism"})
+        self.assertTrue(any("[iter-determinism]" in e and "per_host_" in e
+                            for e in errors), errors)
+
     def test_iter_determinism_structured_binding_flagged(self):
         self.write_consistent_tree()
         self.write("src/query/stats.cc",
