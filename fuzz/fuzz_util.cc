@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "disql/compiler.h"
+#include "html/parser.h"
 #include "net/transport.h"
 #include "query/report.h"
 #include "query/web_query.h"
@@ -14,6 +15,9 @@
 #include "serialize/framing.h"
 #include "server/http_server.h"
 #include "server/persist.h"
+#include "tests/legacy_parser.h"
+#include "web/synth.h"
+#include "web/university.h"
 
 namespace webdis::fuzz {
 namespace {
@@ -233,6 +237,19 @@ int FuzzSnapshot(const uint8_t* data, size_t size) {
   return 0;
 }
 
+int FuzzHtml(const uint8_t* data, size_t size) {
+  static const html::Url kUrl =
+      html::ParseUrl("http://fuzz.example/dir/page").value();
+  const std::string_view page(reinterpret_cast<const char*>(data), size);
+  const html::ParsedDocument doc = html::ParseDocument(kUrl, page);
+  const std::string diff = legacy_html::DiffAgainstLegacy(doc, page);
+  if (!diff.empty()) {
+    std::fprintf(stderr, "webdis-fuzz: %s\n", diff.c_str());
+    Fail("single-pass parse must equal the legacy parse");
+  }
+  return 0;
+}
+
 // -- Seed + regression corpus ------------------------------------------------
 
 namespace {
@@ -286,7 +303,7 @@ std::vector<uint8_t> FrameSnapshotBody(const std::vector<uint8_t>& body) {
 int WriteSeedCorpus(const std::string& root) {
   namespace fs = std::filesystem;
   std::error_code ec;
-  for (const char* sub : {"wire", "wal", "snapshot"}) {
+  for (const char* sub : {"wire", "wal", "snapshot", "html"}) {
     fs::create_directories(fs::path(root) / sub, ec);
     if (ec) return -1;
   }
@@ -303,6 +320,9 @@ int WriteSeedCorpus(const std::string& root) {
     } else {
       written = -1;
     }
+  };
+  auto put_page = [&](const std::string& name, std::string_view page) {
+    put("html", name.c_str(), std::vector<uint8_t>(page.begin(), page.end()));
   };
   auto frame = [](net::MessageType type, const std::vector<uint8_t>& payload) {
     return serialize::EncodeFrame(static_cast<uint8_t>(type), payload);
@@ -552,6 +572,34 @@ int WriteSeedCorpus(const std::string& root) {
     body.PutU8(0xEE);
     put("snapshot", "regress-trailing-bytes.bin",
         FrameSnapshotBody(body.data()));
+  }
+
+  // --- html seeds: generated pages and the hand-written edge cases ---
+  {
+    web::SynthWebOptions options;
+    options.seed = 1;
+    options.num_sites = 2;
+    options.docs_per_site = 3;
+    const web::WebGraph synth = web::GenerateSynthWeb(options);
+    const std::vector<std::string> urls = synth.AllUrls();
+    for (size_t i = 0; i < urls.size(); ++i) {
+      put_page("seed-synth-" + std::to_string(i) + ".html",
+               synth.Find(urls[i])->raw_html);
+    }
+    web::UniversityOptions uni_options;
+    uni_options.departments = 2;
+    uni_options.labs_per_department = 2;
+    uni_options.filler_pages_per_department = 1;
+    const web::UniversityWeb uni = web::GenerateUniversityWeb(uni_options);
+    const std::vector<std::string> uni_urls = uni.web.AllUrls();
+    for (size_t i = 0; i < uni_urls.size(); i += 2) {
+      put_page("seed-univ-" + std::to_string(i / 2) + ".html",
+               uni.web.Find(uni_urls[i])->raw_html);
+    }
+    const auto edge_cases = legacy_html::HtmlEdgeCases();
+    for (size_t i = 0; i < edge_cases.size(); ++i) {
+      put_page("edge-" + std::to_string(i) + ".html", edge_cases[i]);
+    }
   }
   return written;
 }

@@ -17,15 +17,22 @@ namespace webdis::fuzz {
 /// sanitizer report, or fixpoint violation aborts the process, which is how
 /// both libFuzzer and the plain corpus-replay driver report a finding.
 ///
-/// All three return 0 (the libFuzzer convention for "input consumed").
+/// FuzzHtml is the page-parser surface: any byte string is a page, so it
+/// checks html::ParseDocument against the legacy differential oracle
+/// (tests/legacy_parser.h) and the rel-infon span invariant — every span
+/// inside the text buffer, starting and ending on a non-space byte.
+///
+/// All four return 0 (the libFuzzer convention for "input consumed").
 int FuzzWireFrame(const uint8_t* data, size_t size);
 int FuzzWalStream(const uint8_t* data, size_t size);
 int FuzzSnapshot(const uint8_t* data, size_t size);
+int FuzzHtml(const uint8_t* data, size_t size);
 
-/// Writes the mechanical seed corpus under `root`/{wire,wal,snapshot}:
+/// Writes the mechanical seed corpus under `root`/{wire,wal,snapshot,html}:
 /// one well-formed input per wire message type / WAL record type / snapshot
 /// image (mirroring the golden objects in tests/wire_golden_test.cc and
-/// tests/persist_golden_test.cc), plus the checked-in regression entries —
+/// tests/persist_golden_test.cc), synthetic and university pages plus the
+/// hand-written parser edge cases, plus the checked-in regression entries —
 /// one malformed input per decoder hardening fix, kept so the bug class
 /// stays covered by plain ctest replay forever. Returns the number of files
 /// written, or -1 on I/O failure.

@@ -2,7 +2,6 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <cctype>
 
 namespace webdis {
 
@@ -10,8 +9,7 @@ std::string ToLower(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
-    out.push_back(static_cast<char>(
-        std::tolower(static_cast<unsigned char>(c))));
+    out.push_back(AsciiToLower(c));
   }
   return out;
 }
@@ -54,15 +52,9 @@ std::vector<std::string> Split(std::string_view s, char sep) {
 
 std::string_view Trim(std::string_view s) {
   size_t begin = 0;
-  while (begin < s.size() &&
-         std::isspace(static_cast<unsigned char>(s[begin]))) {
-    ++begin;
-  }
+  while (begin < s.size() && IsAsciiSpace(s[begin])) ++begin;
   size_t end = s.size();
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(s[end - 1]))) {
-    --end;
-  }
+  while (end > begin && IsAsciiSpace(s[end - 1])) --end;
   return s.substr(begin, end - begin);
 }
 
@@ -79,18 +71,24 @@ std::string Join(const std::vector<std::string>& pieces,
 std::string CollapseWhitespace(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  bool in_space = true;  // drop leading whitespace
-  for (char c : s) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!in_space) out.push_back(' ');
-      in_space = true;
-    } else {
-      out.push_back(c);
-      in_space = false;
-    }
-  }
-  while (!out.empty() && out.back() == ' ') out.pop_back();
+  WhitespaceCollapser(&out).append(s);
   return out;
+}
+
+void WhitespaceCollapser::append(std::string_view s) {
+  size_t i = 0;
+  while (i < s.size()) {
+    if (IsAsciiSpace(s[i])) {
+      pending_space_ = true;
+      ++i;
+      continue;
+    }
+    size_t end = i + 1;
+    while (end < s.size() && !IsAsciiSpace(s[end])) ++end;
+    PutSpaceIfPending();
+    out_->append(s.data() + i, end - i);
+    i = end;
+  }
 }
 
 std::string StringPrintf(const char* format, ...) {

@@ -8,6 +8,20 @@
 
 namespace webdis {
 
+/// ASCII character classes. Locale-independent on purpose: HTML markup and
+/// the synthetic web are ASCII, and bytes >= 0x80 (0x85, 0xA0, UTF-8
+/// sequences) are never whitespace or name characters.
+constexpr bool IsAsciiSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');  // \t \n \v \f \r
+}
+constexpr bool IsAsciiDigit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool IsAsciiAlnum(char c) {
+  return IsAsciiDigit(c) || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+constexpr char AsciiToLower(char c) {
+  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 /// ASCII lower-casing (the paper's `contains` predicate is case-insensitive
 /// over HTML text, which is ASCII-oriented).
 std::string ToLower(std::string_view s);
@@ -35,6 +49,38 @@ std::string Join(const std::vector<std::string>& pieces,
 /// Collapses runs of whitespace into single spaces and trims; used when
 /// extracting document text from HTML.
 std::string CollapseWhitespace(std::string_view s);
+
+/// Appends to a string with every run of ASCII whitespace collapsed to one
+/// space and no leading or trailing space, so a sequence of appends to an
+/// empty string yields CollapseWhitespace of their concatenation. A space
+/// is only written just before the next non-space byte; hence the output
+/// never ends in a space, and the bytes written between two points of the
+/// appends, less at most one leading space, are CollapseWhitespace of the
+/// input appended in between — which is what lets a page parser record
+/// every rel-infon as a span of one text buffer.
+class WhitespaceCollapser {
+ public:
+  explicit WhitespaceCollapser(std::string* out) : out_(out) {}
+
+  void push_back(char c) {
+    if (IsAsciiSpace(c)) {
+      pending_space_ = true;
+      return;
+    }
+    PutSpaceIfPending();
+    out_->push_back(c);
+  }
+  void append(std::string_view s);
+
+ private:
+  void PutSpaceIfPending() {
+    if (pending_space_ && !out_->empty()) out_->push_back(' ');
+    pending_space_ = false;
+  }
+
+  std::string* out_;
+  bool pending_space_ = false;
+};
 
 /// printf-style formatting into a std::string.
 std::string StringPrintf(const char* format, ...)

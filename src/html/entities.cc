@@ -1,7 +1,8 @@
 #include "html/entities.h"
 
-#include <cctype>
 #include <cstdint>
+
+#include "common/strings.h"
 
 namespace webdis::html {
 
@@ -19,58 +20,38 @@ constexpr NamedEntity kEntities[] = {
 
 }  // namespace
 
+size_t DecodeEntityAt(std::string_view s, size_t i, char* out) {
+  // A reference is at most 10 bytes past its '&'; searching only that far
+  // keeps decoding linear on long runs of '&' with no ';'.
+  const size_t semi_in_window = s.substr(i + 1, 10).find(';');
+  if (semi_in_window == std::string_view::npos) return 0;
+  const size_t semi = i + 1 + semi_in_window;
+  const std::string_view body = s.substr(i + 1, semi - i - 1);
+  if (!body.empty() && body[0] == '#') {
+    if (body.size() == 1) return 0;
+    uint32_t code = 0;
+    for (size_t j = 1; j < body.size(); ++j) {
+      if (!IsAsciiDigit(body[j])) return 0;
+      code = code * 10 + static_cast<uint32_t>(body[j] - '0');
+      if (code > 0x10FFFF) return 0;
+    }
+    // Non-ASCII (and &#0;) become a placeholder, like 1990s terminals.
+    *out = (code > 0 && code < 128) ? static_cast<char>(code) : '?';
+    return semi - i + 1;
+  }
+  for (const NamedEntity& e : kEntities) {
+    if (body == e.name) {
+      *out = e.value;
+      return semi - i + 1;
+    }
+  }
+  return 0;
+}
+
 std::string DecodeEntities(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  size_t i = 0;
-  while (i < s.size()) {
-    if (s[i] != '&') {
-      out.push_back(s[i++]);
-      continue;
-    }
-    const size_t semi = s.find(';', i + 1);
-    if (semi == std::string_view::npos || semi - i > 10) {
-      out.push_back(s[i++]);
-      continue;
-    }
-    const std::string_view body = s.substr(i + 1, semi - i - 1);
-    bool decoded = false;
-    if (!body.empty() && body[0] == '#') {
-      uint32_t code = 0;
-      bool valid = body.size() > 1;
-      for (size_t j = 1; j < body.size(); ++j) {
-        if (!std::isdigit(static_cast<unsigned char>(body[j]))) {
-          valid = false;
-          break;
-        }
-        code = code * 10 + static_cast<uint32_t>(body[j] - '0');
-        if (code > 0x10FFFF) {
-          valid = false;
-          break;
-        }
-      }
-      if (valid && code > 0 && code < 128) {
-        out.push_back(static_cast<char>(code));
-        decoded = true;
-      } else if (valid) {
-        out.push_back('?');  // non-ASCII: placeholder, like 1990s terminals
-        decoded = true;
-      }
-    } else {
-      for (const NamedEntity& e : kEntities) {
-        if (body == e.name) {
-          out.push_back(e.value);
-          decoded = true;
-          break;
-        }
-      }
-    }
-    if (decoded) {
-      i = semi + 1;
-    } else {
-      out.push_back(s[i++]);
-    }
-  }
+  DecodeEntitiesTo(s, out);
   return out;
 }
 

@@ -1,8 +1,9 @@
 #include "html/parser.h"
 
-#include <algorithm>
-#include <cstddef>
+#include <array>
+#include <cstdint>
 
+#include "common/logging.h"
 #include "common/strings.h"
 #include "html/entities.h"
 #include "html/tokenizer.h"
@@ -11,163 +12,159 @@ namespace webdis::html {
 
 namespace {
 
-constexpr std::string_view kContainerTags[] = {
-    "b", "i", "em", "strong", "h1", "h2", "h3", "h4", "h5", "h6",
-    "p", "li", "td", "th", "pre", "center", "font", "blockquote",
-};
-
-constexpr std::string_view kSeparatorTags[] = {"hr", "br"};
-
-bool IsContainerTag(std::string_view name) {
-  return std::find(std::begin(kContainerTags), std::end(kContainerTags),
-                   name) != std::end(kContainerTags);
-}
-
-bool IsSeparatorTag(std::string_view name) {
-  return std::find(std::begin(kSeparatorTags), std::end(kSeparatorTags),
-                   name) != std::end(kSeparatorTags);
-}
-
 /// An open container element awaiting its end tag.
 struct OpenElement {
-  std::string tag;
-  size_t text_offset;  // offset into the raw text accumulator when opened
+  Tag tag;
+  uint32_t text_offset;  // size of the text buffer when opened
 };
+
+/// The text appended to `text` since `start`, trimmed. The buffer never
+/// ends in a space and never holds two in a row (WhitespaceCollapser), so at
+/// most one leading space — the collapsed whitespace just before the
+/// element's first word — needs dropping.
+std::string_view SpanSince(const std::string& text, uint32_t* start) {
+  if (*start < text.size() && text[*start] == ' ') ++*start;
+  return std::string_view(text).substr(*start);
+}
+
+void AddRelInfon(ParsedDocument* doc, Tag tag, uint32_t start) {
+  const std::string_view body = SpanSince(doc->text, &start);
+  if (body.empty()) return;
+  doc->rel_infons.push_back(
+      {TagName(tag), start, static_cast<uint32_t>(body.size())});
+}
+
+void AddAnchor(ParsedDocument* doc, std::string label, std::string_view href) {
+  auto resolved = ResolveUrl(doc->url, href);
+  // Unresolvable hrefs (e.g. "mailto:") are dropped: they are not part of
+  // the paper's web graph model.
+  if (!resolved.ok()) return;
+  ParsedAnchor anchor;
+  anchor.label = std::move(label);
+  anchor.resolved = std::move(resolved).value();
+  anchor.ltype = ClassifyLink(doc->url, anchor.resolved);
+  doc->anchors.push_back(std::move(anchor));
+}
 
 }  // namespace
 
 ParsedDocument ParseDocument(const Url& url, std::string_view html) {
+  WEBDIS_CHECK(html.size() <= UINT32_MAX) << "page too large to parse";
   ParsedDocument doc;
   doc.url = url;
   doc.length = html.size();
+  // Decoded, collapsed text never outgrows the markup it came from.
+  doc.text.reserve(html.size());
+  WhitespaceCollapser text(&doc.text);
+  WhitespaceCollapser title(&doc.title);
+  const auto text_size = [&doc] {
+    return static_cast<uint32_t>(doc.text.size());
+  };
 
-  const std::vector<Token> tokens = Tokenize(html);
-
-  std::string text;             // raw visible text accumulator
   std::vector<OpenElement> open_stack;
+  // Open elements per tag: an end tag with nothing open to match costs O(1)
+  // rather than a scan of the whole stack, so parsing stays linear.
+  std::array<uint32_t, kNumTags> open_count{};
+  const auto count_of = [&open_count](Tag tag) -> uint32_t& {
+    return open_count[static_cast<size_t>(tag)];
+  };
   bool in_title = false;
-  bool in_skip = false;         // inside <script>/<style>
-  std::string skip_tag;
+  Tag skip = Tag::kOther;  // the <script>/<style> being skipped, if any
   bool in_anchor = false;
-  ParsedAnchor current_anchor;
-  std::string anchor_label;
-  // Per-separator-tag mark of where the current block began.
-  size_t hr_mark = 0;
-  size_t br_mark = 0;
+  std::string_view anchor_href;
+  uint32_t anchor_start = 0;
+  // Per-separator-tag mark of where the current block began. <br> does not
+  // move the <hr> mark: the paper's hr rel-infon spans the visual block
+  // above the rule, which may contain line breaks.
+  uint32_t hr_mark = 0;
+  uint32_t br_mark = 0;
 
-  for (const Token& token : tokens) {
+  Tokenizer tokenizer(html);
+  Token token;
+  while (tokenizer.Next(&token)) {
     switch (token.kind) {
-      case TokenKind::kText: {
-        if (in_skip) break;
+      case TokenKind::kText:
+        if (skip != Tag::kOther) break;
         if (in_title) {
-          doc.title += DecodeEntities(token.text);
-          break;
+          DecodeEntitiesTo(token.text, title);
+        } else {
+          DecodeEntitiesTo(token.text, text);
         }
-        text += DecodeEntities(token.text);
-        if (in_anchor) anchor_label += DecodeEntities(token.text);
         break;
-      }
       case TokenKind::kStartTag: {
-        const std::string& tag = token.text;
-        if (in_skip) break;
-        if (tag == "script" || tag == "style") {
-          in_skip = true;
-          skip_tag = tag;
-          break;
-        }
-        if (tag == "title") {
-          in_title = true;
-          break;
-        }
-        if (tag == "a") {
-          const std::string_view href = token.Attr("href");
-          if (!href.empty()) {
-            in_anchor = true;
-            anchor_label.clear();
-            current_anchor = ParsedAnchor();
-            current_anchor.href = std::string(href);
-          }
-          break;
-        }
-        // Frames and image-map areas hyperlink documents exactly like
-        // anchors did in 1999-era sites; they enter the ANCHOR relation
-        // with the tag name as label.
-        if (tag == "frame" || tag == "iframe" || tag == "area") {
-          const std::string_view href =
-              tag == "area" ? token.Attr("href") : token.Attr("src");
-          if (!href.empty()) {
-            ParsedAnchor anchor;
-            anchor.href = std::string(href);
-            anchor.label = "[" + tag + "]";
-            auto resolved = ResolveUrl(url, anchor.href);
-            if (resolved.ok()) {
-              anchor.resolved = std::move(resolved).value();
-              anchor.ltype = ClassifyLink(url, anchor.resolved);
-              doc.anchors.push_back(std::move(anchor));
+        const Tag tag = token.tag;
+        if (skip != Tag::kOther) break;
+        switch (tag) {
+          case Tag::kScript:
+          case Tag::kStyle:
+            skip = tag;
+            break;
+          case Tag::kTitle:
+            in_title = true;
+            break;
+          case Tag::kA: {
+            const std::string_view href = token.Attr("href");
+            if (!href.empty()) {
+              in_anchor = true;
+              anchor_href = href;
+              anchor_start = text_size();
             }
+            break;
           }
-          break;
-        }
-        if (IsSeparatorTag(tag)) {
-          size_t& mark = (tag == "hr") ? hr_mark : br_mark;
-          const std::string block =
-              CollapseWhitespace(std::string_view(text).substr(mark));
-          if (!block.empty()) {
-            doc.rel_infons.push_back({tag, block});
+          // Frames and image-map areas hyperlink documents exactly like
+          // anchors did in 1999-era sites; they enter the ANCHOR relation
+          // with the tag name as label.
+          case Tag::kFrame:
+          case Tag::kIframe:
+          case Tag::kArea: {
+            const std::string_view href =
+                token.Attr(tag == Tag::kArea ? "href" : "src");
+            if (!href.empty()) {
+              AddAnchor(&doc, "[" + std::string(TagName(tag)) + "]", href);
+            }
+            break;
           }
-          mark = text.size();
-          // <br> also ends the running line for <hr> purposes? No: the
-          // paper's hr rel-infon spans the visual block above the rule,
-          // which may contain line breaks, so hr_mark is left untouched.
-          break;
-        }
-        if (IsContainerTag(tag) && !token.self_closing) {
-          open_stack.push_back({tag, text.size()});
+          case Tag::kHr:
+          case Tag::kBr: {
+            uint32_t& mark = tag == Tag::kHr ? hr_mark : br_mark;
+            AddRelInfon(&doc, tag, mark);
+            mark = text_size();
+            break;
+          }
+          default:
+            if (IsContainerTag(tag) && !token.self_closing) {
+              open_stack.push_back({tag, text_size()});
+              ++count_of(tag);
+            }
+            break;
         }
         break;
       }
       case TokenKind::kEndTag: {
-        const std::string& tag = token.text;
-        if (in_skip) {
-          if (tag == skip_tag) in_skip = false;
+        const Tag tag = token.tag;
+        if (skip != Tag::kOther) {
+          if (tag == skip) skip = Tag::kOther;
           break;
         }
-        if (tag == "title") {
+        if (tag == Tag::kTitle) {
           in_title = false;
-          break;
-        }
-        if (tag == "a") {
+        } else if (tag == Tag::kA) {
           if (in_anchor) {
             in_anchor = false;
-            current_anchor.label = CollapseWhitespace(anchor_label);
-            auto resolved = ResolveUrl(url, current_anchor.href);
-            if (resolved.ok()) {
-              current_anchor.resolved = std::move(resolved).value();
-              current_anchor.ltype =
-                  ClassifyLink(url, current_anchor.resolved);
-              doc.anchors.push_back(std::move(current_anchor));
-            }
-            // Unresolvable hrefs (e.g. "mailto:") are dropped: they are not
-            // part of the paper's web graph model.
+            AddAnchor(&doc, std::string(SpanSince(doc.text, &anchor_start)),
+                      anchor_href);
           }
-          break;
-        }
-        if (IsContainerTag(tag)) {
+        } else if (IsContainerTag(tag) && count_of(tag) > 0) {
           // Pop to the innermost matching open element, discarding
-          // mis-nested entries (tolerant recovery).
-          for (size_t i = open_stack.size(); i > 0; --i) {
-            if (open_stack[i - 1].tag == tag) {
-              const std::string body = CollapseWhitespace(
-                  std::string_view(text).substr(open_stack[i - 1].text_offset));
-              if (!body.empty()) {
-                doc.rel_infons.push_back({tag, body});
-              }
-              open_stack.erase(open_stack.begin() +
-                                   static_cast<std::ptrdiff_t>(i - 1),
-                               open_stack.end());
-              break;
-            }
+          // mis-nested entries (tolerant recovery). Every element is
+          // popped once, so the scans cost O(1) amortized.
+          size_t match = open_stack.size() - 1;
+          while (open_stack[match].tag != tag) --match;
+          AddRelInfon(&doc, tag, open_stack[match].text_offset);
+          for (size_t i = match; i < open_stack.size(); ++i) {
+            --count_of(open_stack[i].tag);
           }
+          open_stack.resize(match);
         }
         break;
       }
@@ -176,9 +173,7 @@ ParsedDocument ParseDocument(const Url& url, std::string_view html) {
         break;
     }
   }
-
-  doc.title = CollapseWhitespace(doc.title);
-  doc.text = CollapseWhitespace(text);
+  doc.text.shrink_to_fit();
   return doc;
 }
 

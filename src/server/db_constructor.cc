@@ -38,8 +38,9 @@ relational::Database BuildNodeDatabase(const html::ParsedDocument& doc) {
   Table relinfon(relational::RelInfonSchema());
   for (const html::ParsedRelInfon& r : doc.rel_infons) {
     MustInsert(&relinfon,
-               {Value(r.delimiter), Value(doc.url.ResourceKey()),
-                Value(r.text), Value(static_cast<int64_t>(r.text.size()))});
+               {Value(std::string(r.delimiter)), Value(doc.url.ResourceKey()),
+                Value(std::string(doc.RelInfonText(r))),
+                Value(static_cast<int64_t>(r.size))});
   }
   db.Put(std::string(relational::kRelInfonRelation), std::move(relinfon));
 

@@ -7,6 +7,19 @@
 
 namespace webdis::web {
 
+namespace {
+
+// Parses `html` as `doc`'s body and stores both at exact size: a
+// materialized page holds no growth slack (DESIGN.md §8). The parser
+// already returns its text buffer at exact size.
+void SetBody(WebGraph::Document* doc, std::string html) {
+  doc->parsed = html::ParseDocument(doc->url, html);
+  html.shrink_to_fit();
+  doc->raw_html = std::move(html);
+}
+
+}  // namespace
+
 WebGraph::~WebGraph() {
   for (DocEntry& entry : entries_) {
     delete entry.doc.load(std::memory_order_relaxed);
@@ -84,8 +97,7 @@ Status WebGraph::AddDocument(std::string_view url, std::string html) {
   WEBDIS_ASSIGN_OR_RETURN(entry, AddEntry(url, &parsed_url));
   auto doc = std::make_unique<Document>();
   doc->url = std::move(parsed_url);
-  doc->parsed = html::ParseDocument(doc->url, html);
-  doc->raw_html = std::move(html);
+  SetBody(doc.get(), std::move(html));
   doc->born_epoch = entry->born_epoch;
   if (history_enabled_) {
     history_[{doc->url.ResourceKey(), doc->version}] = doc->raw_html;
@@ -127,8 +139,7 @@ WebGraph::Document* WebGraph::Materialize(const DocEntry& entry) const {
   auto doc = std::make_unique<Document>();
   doc->url = std::move(parsed).value();
   std::string html = generator_(key, entry.aux0, entry.aux1);
-  doc->parsed = html::ParseDocument(doc->url, html);
-  doc->raw_html = std::move(html);
+  SetBody(doc.get(), std::move(html));
   doc->born_epoch = entry.born_epoch;
   // Publish with a compare-exchange: concurrent stepper partitions may race
   // to materialize the same document, but generation is deterministic, so
@@ -184,8 +195,7 @@ Status WebGraph::UpdateDocument(std::string_view url, std::string html) {
   const DocEntry& entry = entries_[it->second];
   Document* doc = entry.doc.load(std::memory_order_acquire);
   if (doc == nullptr) doc = Materialize(entry);
-  doc->parsed = html::ParseDocument(doc->url, html);
-  doc->raw_html = std::move(html);
+  SetBody(doc, std::move(html));
   ++doc->version;
   if (history_enabled_) {
     history_[{key, doc->version}] = doc->raw_html;

@@ -38,7 +38,7 @@ class WebGraph {
   /// One web resource (Node in the paper's model).
   struct Document {
     html::Url url;
-    std::string raw_html;
+    std::string raw_html;         // held at exact size, like parsed.text
     html::ParsedDocument parsed;  // parse is cached at materialization
     /// Monotonic edit counter, bumped by UpdateDocument. The cross-query
     /// result cache (PROTOCOL.md §9.1) keys on it: a cached node-query

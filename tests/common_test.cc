@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
@@ -136,6 +138,44 @@ TEST(StringsTest, Join) {
 TEST(StringsTest, CollapseWhitespace) {
   EXPECT_EQ(CollapseWhitespace("  a\n\t b   c "), "a b c");
   EXPECT_EQ(CollapseWhitespace("\n \t"), "");
+}
+
+TEST(StringsTest, WhitespaceIsAsciiOnly) {
+  // \t \n \v \f \r and space are whitespace; NEL (0x85), Latin-1 NBSP
+  // (0xA0) and the UTF-8 NBSP sequence are not — whatever the locale.
+  for (char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    EXPECT_TRUE(IsAsciiSpace(c)) << static_cast<int>(c);
+  }
+  for (char c : {'\x85', '\xa0', '\xc2', '\0', 'a', '\x1c'}) {
+    EXPECT_FALSE(IsAsciiSpace(c)) << static_cast<int>(c);
+  }
+  EXPECT_EQ(CollapseWhitespace("\va\f\rb\t"), "a b");
+  EXPECT_EQ(CollapseWhitespace("\x85x\xa0"), "\x85x\xa0");
+  EXPECT_EQ(CollapseWhitespace(" \xc2\xa0 "), "\xc2\xa0");
+  EXPECT_EQ(Trim("\v\x85 \xa0\f"), "\x85 \xa0");
+  EXPECT_EQ(Trim("\xc2\xa0x\xc2\xa0"), "\xc2\xa0x\xc2\xa0");
+  EXPECT_TRUE(IsAsciiAlnum('z'));
+  EXPECT_TRUE(IsAsciiAlnum('Q'));
+  EXPECT_TRUE(IsAsciiAlnum('7'));
+  EXPECT_FALSE(IsAsciiAlnum('\xe9'));  // Latin-1 e-acute
+  EXPECT_FALSE(IsAsciiAlnum('-'));
+  EXPECT_EQ(ToLower("AbC\xc9"), "abc\xc9");
+}
+
+TEST(StringsTest, WhitespaceCollapserMatchesCollapseOfConcatenation) {
+  const std::vector<std::string> pieces = {"  a", " ", "b\n", "\tc", "d ",
+                                           "", " e  "};
+  std::string appended;
+  WhitespaceCollapser out(&appended);
+  std::string concatenated;
+  for (const std::string& p : pieces) {
+    out.append(p);
+    concatenated += p;
+    EXPECT_EQ(appended, CollapseWhitespace(concatenated));
+  }
+  out.push_back(' ');
+  out.push_back('f');
+  EXPECT_EQ(appended, "a b cd e f");
 }
 
 TEST(StringsTest, StringPrintf) {

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+#include <vector>
+
 #include "html/entities.h"
 #include "html/parser.h"
 #include "html/tokenizer.h"
 #include "html/url.h"
+#include "tests/legacy_parser.h"
 
 namespace webdis::html {
 namespace {
@@ -233,7 +238,7 @@ TEST(ParserTest, ContainerRelInfons) {
       TestUrl(), "<b>bold bit</b><h2>head</h2><p>para text</p>");
   ASSERT_EQ(doc.rel_infons.size(), 3u);
   EXPECT_EQ(doc.rel_infons[0].delimiter, "b");
-  EXPECT_EQ(doc.rel_infons[0].text, "bold bit");
+  EXPECT_EQ(doc.RelInfonText(doc.rel_infons[0]), "bold bit");
   EXPECT_EQ(doc.rel_infons[1].delimiter, "h2");
   EXPECT_EQ(doc.rel_infons[2].delimiter, "p");
 }
@@ -244,7 +249,7 @@ TEST(ParserTest, HrRelInfonsCaptureBlockBeforeRule) {
       "intro words<hr>CONVENER Jayant Haritsa<hr>MEMBERS others<hr>");
   std::vector<std::string> hr_texts;
   for (const ParsedRelInfon& r : doc.rel_infons) {
-    if (r.delimiter == "hr") hr_texts.push_back(r.text);
+    if (r.delimiter == "hr") hr_texts.emplace_back(doc.RelInfonText(r));
   }
   ASSERT_EQ(hr_texts.size(), 3u);
   EXPECT_EQ(hr_texts[0], "intro words");
@@ -257,9 +262,9 @@ TEST(ParserTest, NestedContainersEachProduceRelInfon) {
       ParseDocument(TestUrl(), "<p>outer <b>inner</b> tail</p>");
   ASSERT_EQ(doc.rel_infons.size(), 2u);
   EXPECT_EQ(doc.rel_infons[0].delimiter, "b");
-  EXPECT_EQ(doc.rel_infons[0].text, "inner");
+  EXPECT_EQ(doc.RelInfonText(doc.rel_infons[0]), "inner");
   EXPECT_EQ(doc.rel_infons[1].delimiter, "p");
-  EXPECT_EQ(doc.rel_infons[1].text, "outer inner tail");
+  EXPECT_EQ(doc.RelInfonText(doc.rel_infons[1]), "outer inner tail");
 }
 
 TEST(ParserTest, ScriptAndStyleContentSkipped) {
@@ -279,7 +284,7 @@ TEST(ParserTest, MisnestedTagsRecovered) {
   for (const ParsedRelInfon& r : doc.rel_infons) {
     if (r.delimiter == "b") {
       found_b = true;
-      EXPECT_EQ(r.text, "both");
+      EXPECT_EQ(doc.RelInfonText(r), "both");
     }
   }
   EXPECT_TRUE(found_b);
@@ -315,6 +320,83 @@ TEST(ParserTest, EntitiesDecodedInTextAndTitle) {
       TestUrl(), "<title>A &amp; B</title><p>x &lt; y</p>");
   EXPECT_EQ(doc.title, "A & B");
   EXPECT_EQ(doc.text, "x < y");
+}
+
+// -- Single-pass parser vs. the legacy oracle -----------------------------------
+
+TEST(LegacyOracleTest, EdgeCasesMatchLegacyParser) {
+  for (const char* html : legacy_html::HtmlEdgeCases()) {
+    const ParsedDocument doc = ParseDocument(TestUrl(), html);
+    EXPECT_EQ(legacy_html::DiffAgainstLegacy(doc, html), "") << html;
+  }
+}
+
+TEST(LegacyOracleTest, EveryPrefixOfEdgeCasesMatches) {
+  // Cutting a document anywhere yields unterminated tags, comments,
+  // attribute values and entities in every position.
+  for (const char* html : legacy_html::HtmlEdgeCases()) {
+    const std::string full(html);
+    for (size_t n = 0; n <= full.size(); ++n) {
+      const std::string prefix = full.substr(0, n);
+      const ParsedDocument doc = ParseDocument(TestUrl(), prefix);
+      EXPECT_EQ(legacy_html::DiffAgainstLegacy(doc, prefix), "") << prefix;
+    }
+  }
+}
+
+TEST(TokenizerTest, EndJunkIsTwoTextTokens) {
+  auto tokens = Tokenize("</ junk>");
+  ASSERT_EQ(tokens.size(), 2u);
+  EXPECT_EQ(tokens[0].kind, TokenKind::kText);
+  EXPECT_EQ(tokens[0].text, "<");
+  EXPECT_EQ(tokens[1].kind, TokenKind::kText);
+  EXPECT_EQ(tokens[1].text, " junk>");
+}
+
+TEST(TokenizerTest, KnownTagsResolvedCaseInsensitively) {
+  auto tokens = Tokenize("<BlockQuote><HTML></bR>");
+  ASSERT_EQ(tokens.size(), 3u);
+  EXPECT_EQ(tokens[0].tag, Tag::kBlockquote);
+  EXPECT_EQ(tokens[0].text, "blockquote");
+  EXPECT_EQ(tokens[1].tag, Tag::kOther);
+  EXPECT_EQ(tokens[1].text, "HTML");  // unknown names stay as written
+  EXPECT_EQ(tokens[2].kind, TokenKind::kEndTag);
+  EXPECT_EQ(tokens[2].tag, Tag::kBr);
+}
+
+TEST(ParserTest, RelInfonSpansSurviveCopyAndMove) {
+  ParsedDocument doc = ParseDocument(TestUrl(), "<p>a <b>b</b> c</p>");
+  const ParsedDocument copy = doc;
+  const ParsedDocument moved = std::move(doc);
+  ASSERT_EQ(copy.rel_infons.size(), 2u);
+  EXPECT_EQ(copy.RelInfonText(copy.rel_infons[0]), "b");
+  EXPECT_EQ(moved.RelInfonText(moved.rel_infons[1]), "a b c");
+}
+
+TEST(ParserTest, NestedRelInfonsCostLinearMemory) {
+  // 10^4 nested <b> elements: the i-th from the inside encloses i words, so
+  // the rel-infon texts total ~n^2/2 words. Copying each would hold ~2.5e8
+  // bytes; as spans of the one text buffer they hold none.
+  constexpr size_t kDepth = 10000;
+  std::string html;
+  for (size_t i = 0; i < kDepth; ++i) html += "<b>w ";
+  for (size_t i = 0; i < kDepth; ++i) html += "</b>";
+  const ParsedDocument doc = ParseDocument(TestUrl(), html);
+  ASSERT_EQ(doc.rel_infons.size(), kDepth);
+  EXPECT_EQ(doc.text.size(), 2 * kDepth - 1);
+  EXPECT_EQ(doc.RelInfonText(doc.rel_infons.front()), "w");
+  EXPECT_EQ(doc.RelInfonText(doc.rel_infons.back()), doc.text);
+  // A rel-infon owns no heap memory, so its text can only live in doc.text:
+  // beyond text, the rel-infons cost their fixed-size slots — a view of the
+  // static tag name plus an 8 B span — and the vector's growth slack.
+  static_assert(std::is_trivially_copyable_v<ParsedRelInfon>);
+  static_assert(sizeof(ParsedRelInfon) <= sizeof(std::string_view) + 8);
+  const size_t slot_bytes = doc.rel_infons.capacity() * sizeof(ParsedRelInfon);
+  EXPECT_LE(slot_bytes, 2 * kDepth * sizeof(ParsedRelInfon));
+  size_t spanned = 0;
+  for (const ParsedRelInfon& r : doc.rel_infons) spanned += r.size;
+  EXPECT_EQ(spanned, kDepth * kDepth);  // what copies would have held
+  EXPECT_EQ(doc.text.capacity(), doc.text.size());  // exact size
 }
 
 }  // namespace

@@ -5,12 +5,14 @@
 #include <fstream>
 
 #include "common/strings.h"
+#include "tests/legacy_parser.h"
 #include "web/fileweb.h"
 #include "web/graph.h"
 #include "web/index.h"
 #include "web/pagegen.h"
 #include "web/synth.h"
 #include "web/topologies.h"
+#include "web/university.h"
 
 namespace webdis::web {
 namespace {
@@ -193,7 +195,7 @@ TEST(PageGenTest, RenderedPageParsesBack) {
   EXPECT_EQ(doc.anchors[1].ltype, html::LinkType::kGlobal);
   bool convener_in_hr = false;
   for (const html::ParsedRelInfon& r : doc.rel_infons) {
-    if (r.delimiter == "hr" && r.text == "CONVENER Someone") {
+    if (r.delimiter == "hr" && doc.RelInfonText(r) == "CONVENER Someone") {
       convener_in_hr = true;
     }
   }
@@ -283,7 +285,8 @@ TEST(SynthWebTest, KeywordProbabilitiesHonored) {
     }
     for (const html::ParsedRelInfon& r : doc->parsed.rel_infons) {
       if (r.delimiter == "hr" &&
-          r.text.find(kBodyKeyword) != std::string::npos) {
+          doc->parsed.RelInfonText(r).find(kBodyKeyword) !=
+              std::string::npos) {
         ++body_hits;
       }
     }
@@ -322,7 +325,8 @@ TEST(TopologyTest, CampusWebHasFigure8Pages) {
     ASSERT_NE(doc, nullptr) << url;
     bool found = false;
     for (const html::ParsedRelInfon& r : doc->parsed.rel_infons) {
-      if (r.delimiter == "hr" && r.text.find(name) != std::string::npos) {
+      if (r.delimiter == "hr" &&
+          doc->parsed.RelInfonText(r).find(name) != std::string::npos) {
         found = true;
       }
     }
@@ -468,6 +472,98 @@ TEST_F(FileWebTest, EmptyTreeFails) {
   WebGraph web;
   EXPECT_EQ(LoadWebFromDirectory(root_.string(), &web).status().code(),
             StatusCode::kNotFound);
+}
+
+// -- Single-pass parser vs. the legacy oracle -----------------------------------
+
+// Every stored parse in `web` (or every `stride`-th URL) must equal the legacy
+// parser's reading of the stored body, field by field.
+void ExpectWebMatchesLegacy(const WebGraph& web, size_t stride = 1) {
+  const std::vector<std::string> urls = web.AllUrls();
+  ASSERT_FALSE(urls.empty());
+  for (size_t i = 0; i < urls.size(); i += stride) {
+    const WebGraph::Document* doc = web.Find(urls[i]);
+    ASSERT_NE(doc, nullptr) << urls[i];
+    EXPECT_EQ(legacy_html::DiffAgainstLegacy(doc->parsed, doc->raw_html), "")
+        << urls[i];
+  }
+}
+
+TEST(LegacyOracleTest, EagerSynthWebsMatch) {
+  for (uint64_t seed : {1, 2, 3}) {
+    SynthWebOptions options;
+    options.seed = seed;
+    options.num_sites = 6;
+    options.docs_per_site = 20;
+    options.title_keyword_prob = 0.3;
+    options.body_keyword_prob = 0.3;
+    ExpectWebMatchesLegacy(GenerateSynthWeb(options));
+  }
+}
+
+TEST(LegacyOracleTest, SampledColdCrawlShapedLazyWebMatches) {
+  // The cold_crawl benchmark web's shape: 400 sites x 250 lazy pages of six
+  // 60-word filler paragraphs; 1,000 pages sampled evenly.
+  SynthWebOptions options;
+  options.seed = 5;
+  options.num_sites = 400;
+  options.docs_per_site = 250;
+  options.filler_paragraphs = 6;
+  options.words_per_paragraph = 60;
+  options.lazy_pages = true;
+  const WebGraph web = GenerateSynthWeb(options);
+  ExpectWebMatchesLegacy(web, web.num_documents() / 1000);
+  EXPECT_EQ(web.num_materialized(), 1000u);
+}
+
+TEST(LegacyOracleTest, UniversityWebsMatch) {
+  for (uint64_t seed : {7, 8, 9, 10}) {
+    UniversityOptions options;
+    options.seed = seed;
+    ExpectWebMatchesLegacy(GenerateUniversityWeb(options).web);
+  }
+}
+
+TEST(LegacyOracleTest, TopologyWebsMatch) {
+  ExpectWebMatchesLegacy(BuildFig1Scenario().web);
+  ExpectWebMatchesLegacy(BuildFig5Scenario().web);
+  ExpectWebMatchesLegacy(BuildCampusScenario().web);
+}
+
+// -- Exact-size page storage ---------------------------------------------------------
+
+void ExpectExactSize(const WebGraph::Document& doc) {
+  EXPECT_EQ(doc.raw_html.capacity(), doc.raw_html.size()) << doc.url.ToString();
+  EXPECT_EQ(doc.parsed.text.capacity(), doc.parsed.text.size())
+      << doc.url.ToString();
+}
+
+TEST(WebGraphTest, BodiesStoredAtExactSize) {
+  SynthWebOptions options;
+  options.num_sites = 2;
+  options.docs_per_site = 3;
+  options.lazy_pages = true;
+  WebGraph lazy = GenerateSynthWeb(options);
+  for (const std::string& url : lazy.AllUrls()) {
+    ExpectExactSize(*lazy.Find(url));  // Materialize
+  }
+  // Bodies arrive with growth slack the graph must not keep.
+  auto slack_body = [](std::string_view content) {
+    std::string html;
+    html.reserve(4096);
+    html = content;
+    return html;
+  };
+  const std::string body = "<title>Exact</title><p>a body past SSO size</p>";
+  const std::string edit = body + "<b>and an edit that grows it</b>";
+  WebGraph web;
+  ASSERT_TRUE(web.AddDocument("http://a/x", slack_body(body)).ok());
+  ExpectExactSize(*web.Find("http://a/x"));  // AddDocument
+  ASSERT_TRUE(web.UpdateDocument("http://a/x", slack_body(edit)).ok());
+  ExpectExactSize(*web.Find("http://a/x"));  // UpdateDocument
+  const std::string cold = lazy.AllUrls().front();
+  ASSERT_TRUE(lazy.UpdateDocument(cold, slack_body(edit)).ok());
+  ExpectExactSize(*lazy.Find(cold));
 }
 
 }  // namespace
