@@ -137,131 +137,10 @@ void QueryServer::Stop() {
 
 void QueryServer::OnMessage(const net::Endpoint& from, net::MessageType type,
                             const std::vector<uint8_t>& payload) {
-  if (retired_ && (type == net::MessageType::kWebQuery ||
-                   type == net::MessageType::kCloneBatch)) {
-    // §10.2: a retired site never processes another clone. Answer
-    // terminally — kSiteRetired NACK plus named degraded reports — so the
-    // sender stops retrying and the user site's CHT settles.
-    HandleCloneWhileRetired(from, type, payload);
-    return;
-  }
   switch (type) {
-    case net::MessageType::kWebQuery: {
-      if (options_.admission.max_pending != 0) {
-        AdmitClone(from, payload);
-        return;
-      }
-      // Delivery dedup MUST precede all protocol processing: a redelivered
-      // clone that reached the log table would emit a second duplicate-drop
-      // report and unbalance the robust CHT's add/delete counts.
-      const net::Endpoint self{host_, kQueryServerPort};
-      std::vector<uint8_t> inner;
-      const std::vector<uint8_t>* body = &payload;
-      uint64_t seq = 0;
-      bool deferred = false;  // ack withheld until the WAL append (§8)
-      if (receiver_.enabled()) {
-        if (WalEnabled()) {
-          // Ack-after-append: Accept() would ack immediately, before the
-          // clone is durable — a crash in the gap would lose an acked
-          // clone. Peek the envelope instead and commit (ack) only after
-          // the kCloneAdmitted record is on storage.
-          if (!net::ReliableReceiver::PeekSeq(payload, &seq)) return;
-          if (receiver_.TestSeen(from, seq)) {
-            receiver_.SendAck(self, from, seq);  // the original ack was lost
-            return;
-          }
-          if (!net::ReliableReceiver::StripEnvelope(payload, &inner)) return;
-          deferred = true;
-        } else if (!receiver_.Accept(self, from, payload, &inner)) {
-          return;  // replay of an already-processed transfer
-        }
-        body = &inner;
-      }
-      serialize::Decoder dec(*body);
-      query::WebQuery clone;
-      Status status = query::WebQuery::DecodeFrom(&dec, &clone);
-      if (status.ok()) status = dec.ExpectAtEnd("clone payload");
-      if (!status.ok()) {
-        ++stats_.decode_errors;
-        WEBDIS_LOG(kWarning) << host_ << ": bad clone: " << status.ToString();
-        if (deferred) {
-          // A malformed clone decodes no better on retransmission: commit
-          // (ack) so the sender stops — but log the dedup commit first, or
-          // a post-restart retransmission would be reprocessed.
-          serialize::Encoder rec;
-          WalTransferSeen{from, seq}.EncodeTo(&rec);
-          AppendWalRecord(WalRecordType::kTransferSeen, rec);
-          (void)receiver_.AcceptSeq(self, from, seq);
-        }
-        return;
-      }
-      const uint64_t wal_id =
-          PersistAdmit(from, deferred, seq, clone);
-      if (deferred && !receiver_.AcceptSeq(self, from, seq)) {
-        FinishWalClone(wal_id);
-        return;  // raced with another copy of the same transfer
-      }
-      ProcessCloneDurable(std::move(clone), wal_id);
-      return;
-    }
+    case net::MessageType::kWebQuery:
     case net::MessageType::kCloneBatch: {
-      if (options_.admission.max_pending != 0) {
-        AdmitBatch(from, payload);
-        return;
-      }
-      // Mirrors the kWebQuery path: one delivery envelope covers the whole
-      // batch, so dedup and the ack-after-append rule apply to the unit —
-      // one kBatchAdmitted record precedes the one batch ack, and every
-      // member is then processed (all-or-none admission, §9.2).
-      const net::Endpoint self{host_, kQueryServerPort};
-      std::vector<uint8_t> inner;
-      const std::vector<uint8_t>* body = &payload;
-      uint64_t seq = 0;
-      bool deferred = false;
-      if (receiver_.enabled()) {
-        if (WalEnabled()) {
-          if (!net::ReliableReceiver::PeekSeq(payload, &seq)) return;
-          if (receiver_.TestSeen(from, seq)) {
-            receiver_.SendAck(self, from, seq);
-            return;
-          }
-          if (!net::ReliableReceiver::StripEnvelope(payload, &inner)) return;
-          deferred = true;
-        } else if (!receiver_.Accept(self, from, payload, &inner)) {
-          return;
-        }
-        body = &inner;
-      }
-      serialize::Decoder dec(*body);
-      query::CloneBatch batch;
-      Status status = query::CloneBatch::DecodeFrom(&dec, &batch);
-      if (status.ok()) status = dec.ExpectAtEnd("clone-batch payload");
-      if (!status.ok()) {
-        ++stats_.decode_errors;
-        WEBDIS_LOG(kWarning) << host_ << ": bad clone batch: "
-                             << status.ToString();
-        if (deferred) {
-          serialize::Encoder rec;
-          WalTransferSeen{from, seq}.EncodeTo(&rec);
-          AppendWalRecord(WalRecordType::kTransferSeen, rec);
-          (void)receiver_.AcceptSeq(self, from, seq);
-        }
-        return;
-      }
-      const uint64_t wal_id =
-          PersistAdmitBatch(from, deferred, seq, batch.clones);
-      if (deferred && !receiver_.AcceptSeq(self, from, seq)) {
-        for (size_t i = 0; i < batch.clones.size(); ++i) {
-          FinishWalClone(wal_id == 0 ? 0 : wal_id + i);
-        }
-        return;  // raced with another copy of the same transfer
-      }
-      ++stats_.clone_batches_received;
-      stats_.clone_batch_members_received += batch.clones.size();
-      for (size_t i = 0; i < batch.clones.size(); ++i) {
-        ProcessCloneDurable(std::move(batch.clones[i]),
-                            wal_id == 0 ? 0 : wal_id + i);
-      }
+      OnClone(from, type, payload);
       return;
     }
     case net::MessageType::kDeliveryAck: {
@@ -301,13 +180,11 @@ void QueryServer::OnMessage(const net::Endpoint& from, net::MessageType type,
         return entry.second.query_key == id.Key();
       });
       ++stats_.active_terminations;
-      if (WalEnabled()) {
-        // A restarted server must not resurrect a terminated query from
-        // recovered clones.
-        serialize::Encoder rec;
-        WalQueryTerminated{id.Key()}.EncodeTo(&rec);
-        AppendWalRecord(WalRecordType::kQueryTerminated, rec);
-      }
+      // A restarted server must not resurrect a terminated query from
+      // recovered clones.
+      serialize::Encoder rec;
+      WalQueryTerminated{id.Key()}.EncodeTo(&rec);
+      AppendWalRecord(WalRecordType::kQueryTerminated, rec);
       return;
     }
     default:
@@ -340,7 +217,112 @@ query::NodeReport MakeRetiredReport(std::string url, query::CloneState state) {
   return nr;
 }
 
+query::NodeReport MakeUndeliverableReport(std::string url,
+                                          query::CloneState state) {
+  query::NodeReport nr;
+  nr.node_url = std::move(url);
+  nr.received_state = std::move(state);
+  nr.undeliverable = true;
+  return nr;
+}
+
 }  // namespace
+
+void QueryServer::OnClone(const net::Endpoint& from, net::MessageType type,
+                          const std::vector<uint8_t>& payload) {
+  const net::Endpoint self{host_, kQueryServerPort};
+  QueuedClone unit;
+  unit.from = from;
+  unit.batch = type == net::MessageType::kCloneBatch;
+  unit.tracked = receiver_.enabled();
+  // A replay or an undecodable transfer goes no further. A retired site
+  // answers both with its terminal NACK (§10.2). Otherwise the transfer is
+  // committed (acked) so the sender stops: a replay's first ack may have
+  // been lost, and a malformed clone decodes no better on retransmission.
+  const auto answer = [&](bool replay) {
+    if (retired_) {
+      receiver_.SendSiteRetired(self, from, unit.seq);
+      ++stats_.site_retired_nacks_sent;
+      return;
+    }
+    if (!replay) {
+      // Log the dedup commit first (§8), or a post-restart retransmission
+      // would be reprocessed.
+      serialize::Encoder rec;
+      WalTransferSeen{from, unit.seq}.EncodeTo(&rec);
+      AppendWalRecord(WalRecordType::kTransferSeen, rec);
+    }
+    (void)receiver_.AcceptSeq(self, from, unit.seq);  // false: a replay
+  };
+  // Delivery dedup MUST precede all protocol processing: a redelivered
+  // clone that reached the log table would emit a second duplicate-drop
+  // report and unbalance the robust CHT's add/delete counts.
+  std::vector<uint8_t> inner;
+  const std::vector<uint8_t>* body = &payload;
+  if (unit.tracked) {
+    if (!net::ReliableReceiver::PeekSeq(payload, &unit.seq)) {
+      return;  // malformed envelope: drop
+    }
+    if (receiver_.TestSeen(from, unit.seq)) {
+      answer(/*replay=*/true);
+      return;
+    }
+    if (!net::ReliableReceiver::StripEnvelope(payload, &inner)) return;
+    body = &inner;
+  }
+  serialize::Decoder dec(*body);
+  Status status;
+  if (unit.batch) {
+    query::CloneBatch batch;
+    status = query::CloneBatch::DecodeFrom(&dec, &batch);
+    unit.clones = std::move(batch.clones);
+  } else {
+    status = query::WebQuery::DecodeFrom(&dec, &unit.clones.emplace_back());
+  }
+  if (status.ok()) {
+    status = dec.ExpectAtEnd(unit.batch ? "clone-batch payload"
+                                        : "clone payload");
+  }
+  if (!status.ok()) {
+    ++stats_.decode_errors;
+    WEBDIS_LOG(kWarning) << host_ << ": bad clone: " << status.ToString();
+    if (unit.tracked) answer(/*replay=*/false);
+    return;
+  }
+  Dispose(std::move(unit), /*recovered=*/false);
+}
+
+void QueryServer::Dispose(QueuedClone unit, bool recovered) {
+  if (retired_) {
+    // §10.2: a retired site never processes another clone. Answer
+    // terminally — kSiteRetired NACK plus named degraded reports — so the
+    // sender stops retrying and the user site's CHT settles.
+    RetireUnit(std::move(unit));
+    return;
+  }
+  const bool queued = options_.admission.max_pending != 0;
+  if (!recovered) {
+    if (queued && !Admit(&unit)) return;
+    unit.wal_id = PersistAdmit(unit);
+    if (unit.batch) {
+      ++stats_.clone_batches_received;
+      stats_.clone_batch_members_received += unit.clones.size();
+    }
+  }
+  if (!queued) {
+    ProcessUnit(std::move(unit));
+    return;
+  }
+  // Durable queue: ack at admission, after the append above (§8). The
+  // shed-after-ack hazard the deferred-acceptance API exists for is gone —
+  // eviction shed is terminal-with-reports, and queue loss on crash is
+  // recovered from the WAL instead of from the sender's retries.
+  if (WalEnabled() && !CommitUnit(&unit)) return;
+  pending_clones_.push_back(std::move(unit));
+  stats_.queue_peak =
+      std::max<uint64_t>(stats_.queue_peak, PendingMembers());
+  if (!recovered) ScheduleDrain();
+}
 
 size_t QueryServer::PendingMembers() const {
   size_t members = 0;
@@ -350,66 +332,34 @@ size_t QueryServer::PendingMembers() const {
   return members;
 }
 
-void QueryServer::AdmitClone(const net::Endpoint& from,
-                             const std::vector<uint8_t>& payload) {
-  const net::Endpoint self{host_, kQueryServerPort};
-  QueuedClone entry;
-  entry.from = from;
-  entry.tracked = receiver_.enabled();
-  std::vector<uint8_t> inner;
-  const std::vector<uint8_t>* body = &payload;
-  if (entry.tracked) {
-    if (!net::ReliableReceiver::PeekSeq(payload, &entry.seq)) {
-      return;  // malformed envelope: drop (matches Accept)
-    }
-    if (receiver_.TestSeen(from, entry.seq)) {
-      // Retransmission of a committed transfer — its ack may have been
-      // lost. Re-ack; nothing to queue.
-      receiver_.SendAck(self, from, entry.seq);
-      return;
-    }
-    if (!net::ReliableReceiver::StripEnvelope(payload, &inner)) return;
-    body = &inner;
+bool QueryServer::Admit(QueuedClone* unit) {
+  // Capacity is counted in members, and a unit is all-or-none: either every
+  // member fits or the whole unit is NACKed (tracked) / shed with explicit
+  // reports (untracked) — a partial accept under the unit's single ack
+  // would silently lose the rest. An empty queue always admits, whatever
+  // the batch size: without this exception a batch larger than max_pending
+  // could never be admitted and a tracked sender would NACK-retry it
+  // forever.
+  if (pending_clones_.empty() ||
+      PendingMembers() + unit->clones.size() <=
+          options_.admission.max_pending) {
+    return true;
   }
-  serialize::Decoder dec(*body);
-  query::WebQuery decoded;
-  Status decode_status = query::WebQuery::DecodeFrom(&dec, &decoded);
-  if (decode_status.ok()) decode_status = dec.ExpectAtEnd("clone payload");
-  if (const Status& status = decode_status; !status.ok()) {
-    ++stats_.decode_errors;
-    WEBDIS_LOG(kWarning) << host_ << ": bad clone: " << status.ToString();
-    // A malformed clone decodes no better on retransmission: commit (ack)
-    // the transfer so the sender stops. Log the dedup commit first (§8) so
-    // a post-restart retransmission is re-acked, not reprocessed.
-    if (entry.tracked) {
-      if (WalEnabled()) {
-        serialize::Encoder rec;
-        WalTransferSeen{from, entry.seq}.EncodeTo(&rec);
-        AppendWalRecord(WalRecordType::kTransferSeen, rec);
-      }
-      (void)receiver_.AcceptSeq(self, from, entry.seq);
-    }
-    return;
-  }
-  entry.clones.push_back(std::move(decoded));
-
-  if (PendingMembers() >= options_.admission.max_pending) {
-    // Overflow. Refinement first: evict the queued unit with the earliest
-    // deadline when it is strictly closer to death than the newcomer (it
-    // would likely expire in the queue anyway); otherwise reject-newest.
-    // A unit's deadline is its most-urgent member's.
+  // Overflow. Refinement first, for a kWebQuery newcomer: evict the queued
+  // unit with the earliest deadline when it is strictly closer to death
+  // than the newcomer (it would likely expire in the queue anyway);
+  // otherwise reject-newest. A unit's deadline is its most-urgent member's.
+  if (!unit->batch && options_.admission.evict_earliest_deadline) {
     size_t victim = pending_clones_.size();
-    if (options_.admission.evict_earliest_deadline) {
-      SimTime earliest = EffectiveDeadline(entry.clones.front());
-      for (size_t i = 0; i < pending_clones_.size(); ++i) {
-        SimTime d = std::numeric_limits<SimTime>::max();
-        for (const query::WebQuery& member : pending_clones_[i].clones) {
-          d = std::min(d, EffectiveDeadline(member));
-        }
-        if (d < earliest) {
-          earliest = d;
-          victim = i;
-        }
+    SimTime earliest = EffectiveDeadline(unit->clones.front());
+    for (size_t i = 0; i < pending_clones_.size(); ++i) {
+      SimTime d = std::numeric_limits<SimTime>::max();
+      for (const query::WebQuery& member : pending_clones_[i].clones) {
+        d = std::min(d, EffectiveDeadline(member));
+      }
+      if (d < earliest) {
+        earliest = d;
+        victim = i;
       }
     }
     if (victim < pending_clones_.size()) {
@@ -418,116 +368,46 @@ void QueryServer::AdmitClone(const net::Endpoint& from,
                             static_cast<ptrdiff_t>(victim));
       stats_.clones_evicted += evicted.clones.size();
       ShedClone(std::move(evicted));
-      // The newcomer takes the freed slot below.
-    } else {
-      ++stats_.clones_shed;
-      if (entry.tracked) {
-        // NACK: the sender moves the transfer to the overload backoff class
-        // and retries once the queue has (hopefully) drained.
-        receiver_.SendOverloaded(self, from, entry.seq);
-        ++stats_.overload_nacks_sent;
-      } else {
-        // No retry layer to come back later — shedding silently would
-        // strand the user site's CHT entries until deadline GC. Terminal
-        // shed with explicit budget-exceeded reports instead.
-        ShedClone(std::move(entry));
-      }
-      return;
+      return true;  // the newcomer takes the freed slot
     }
   }
-  entry.wal_id = PersistAdmit(entry.from, entry.tracked, entry.seq,
-                              entry.clones.front());
-  if (entry.tracked && WalEnabled()) {
-    // Durable queue: ack at admission, after the append above (§8). The
-    // shed-after-ack hazard the deferred-acceptance API exists for is gone —
-    // eviction shed is terminal-with-reports, and queue loss on crash is
-    // recovered from the WAL instead of from the sender's retries.
-    if (!receiver_.AcceptSeq(self, entry.from, entry.seq)) {
-      FinishWalClone(entry.wal_id);
-      return;  // raced with another copy of the same transfer
-    }
-    entry.acked = true;
+  if (unit->batch) ++stats_.batches_shed;
+  stats_.clones_shed += unit->clones.size();
+  if (unit->tracked) {
+    // NACK: the sender moves the transfer to the overload backoff class and
+    // retries once the queue has (hopefully) drained.
+    receiver_.SendOverloaded(net::Endpoint{host_, kQueryServerPort},
+                             unit->from, unit->seq);
+    ++stats_.overload_nacks_sent;
+  } else {
+    // No retry layer to come back later — shedding silently would strand
+    // the user site's CHT entries until deadline GC. Terminal shed with
+    // explicit budget-exceeded reports instead.
+    ShedClone(std::move(*unit));
   }
-  pending_clones_.push_back(std::move(entry));
-  stats_.queue_peak =
-      std::max<uint64_t>(stats_.queue_peak, PendingMembers());
-  ScheduleDrain();
+  return false;
 }
 
-void QueryServer::AdmitBatch(const net::Endpoint& from,
-                             const std::vector<uint8_t>& payload) {
-  const net::Endpoint self{host_, kQueryServerPort};
-  QueuedClone entry;
-  entry.from = from;
-  entry.tracked = receiver_.enabled();
-  std::vector<uint8_t> inner;
-  const std::vector<uint8_t>* body = &payload;
-  if (entry.tracked) {
-    if (!net::ReliableReceiver::PeekSeq(payload, &entry.seq)) return;
-    if (receiver_.TestSeen(from, entry.seq)) {
-      receiver_.SendAck(self, from, entry.seq);
-      return;
-    }
-    if (!net::ReliableReceiver::StripEnvelope(payload, &inner)) return;
-    body = &inner;
+bool QueryServer::CommitUnit(QueuedClone* unit) {
+  if (!unit->tracked || unit->acked) return true;
+  if (!receiver_.AcceptSeq(net::Endpoint{host_, kQueryServerPort},
+                           unit->from, unit->seq)) {
+    FinishWalUnit(*unit);
+    return false;
   }
-  serialize::Decoder dec(*body);
-  query::CloneBatch batch;
-  Status decode_status = query::CloneBatch::DecodeFrom(&dec, &batch);
-  if (decode_status.ok()) {
-    decode_status = dec.ExpectAtEnd("clone-batch payload");
-  }
-  if (const Status& status = decode_status; !status.ok()) {
-    ++stats_.decode_errors;
-    WEBDIS_LOG(kWarning) << host_ << ": bad clone batch: "
-                         << status.ToString();
-    if (entry.tracked) {
-      if (WalEnabled()) {
-        serialize::Encoder rec;
-        WalTransferSeen{from, entry.seq}.EncodeTo(&rec);
-        AppendWalRecord(WalRecordType::kTransferSeen, rec);
-      }
-      (void)receiver_.AcceptSeq(self, from, entry.seq);
-    }
-    return;
-  }
-  entry.clones = std::move(batch.clones);
+  unit->acked = true;
+  return true;
+}
 
-  // Capacity is counted in members, and the batch is all-or-none: either
-  // every member fits or the whole unit is NACKed (tracked) / shed with
-  // explicit reports (untracked) — a partial accept under the batch's
-  // single ack would silently lose the rest. An empty queue always admits,
-  // whatever the batch size: without this exception a batch larger than
-  // max_pending could never be admitted and a tracked sender would NACK-
-  // retry it forever.
-  const size_t members = PendingMembers();
-  if (!pending_clones_.empty() &&
-      members + entry.clones.size() > options_.admission.max_pending) {
-    ++stats_.batches_shed;
-    stats_.clones_shed += entry.clones.size();
-    if (entry.tracked) {
-      receiver_.SendOverloaded(self, from, entry.seq);
-      ++stats_.overload_nacks_sent;
-    } else {
-      ShedClone(std::move(entry));
-    }
-    return;
+void QueryServer::ProcessUnit(QueuedClone unit) {
+  if (!CommitUnit(&unit)) {
+    return;  // a retransmitted copy of this transfer was queued twice
   }
-  entry.wal_id = PersistAdmitBatch(entry.from, entry.tracked, entry.seq,
-                                   entry.clones);
-  if (entry.tracked && WalEnabled()) {
-    if (!receiver_.AcceptSeq(self, entry.from, entry.seq)) {
-      FinishWalUnit(entry);
-      return;  // raced with another copy of the same transfer
-    }
-    entry.acked = true;
+  // A batch unit is one service slot: its members were one wire message and
+  // share one ack, so they are processed together.
+  for (size_t i = 0; i < unit.clones.size(); ++i) {
+    ProcessCloneDurable(std::move(unit.clones[i]), unit.member_wal_id(i));
   }
-  ++stats_.clone_batches_received;
-  stats_.clone_batch_members_received += entry.clones.size();
-  pending_clones_.push_back(std::move(entry));
-  stats_.queue_peak =
-      std::max<uint64_t>(stats_.queue_peak, PendingMembers());
-  ScheduleDrain();
 }
 
 void QueryServer::ScheduleDrain() {
@@ -550,52 +430,14 @@ void QueryServer::DrainOne() {
   if (pending_clones_.empty()) return;
   QueuedClone next = std::move(pending_clones_.front());
   pending_clones_.pop_front();
-  if (next.tracked && !next.acked &&
-      !receiver_.AcceptSeq(net::Endpoint{host_, kQueryServerPort}, next.from,
-                           next.seq)) {
-    FinishWalUnit(next);
-    return;  // a retransmitted copy of this transfer was queued twice
-  }
-  // A batch unit is one service slot: its members were one wire message and
-  // share one ack, so they drain together.
-  for (size_t i = 0; i < next.clones.size(); ++i) {
-    ProcessCloneDurable(std::move(next.clones[i]),
-                        next.wal_id == 0 ? 0 : next.wal_id + i);
-  }
+  ProcessUnit(std::move(next));
 }
 
 void QueryServer::ShedClone(QueuedClone shed) {
-  // Every path below is terminal for every member, so each member's
-  // kCloneCompleted record (when persisted) is due regardless of branch.
-  const net::Endpoint self{host_, kQueryServerPort};
-  if (shed.tracked && !shed.acked &&
-      !receiver_.AcceptSeq(self, shed.from, shed.seq)) {
-    FinishWalUnit(shed);
+  if (!CommitUnit(&shed)) {
     return;  // replay of a committed transfer: already handled once
   }
-  for (size_t i = 0; i < shed.clones.size(); ++i) {
-    query::WebQuery& clone = shed.clones[i];
-    const uint64_t wal_id = shed.wal_id == 0 ? 0 : shed.wal_id + i;
-    if (terminated_queries_.contains(clone.id.Key())) {
-      FinishWalClone(wal_id);
-      continue;
-    }
-    if (clone.ack_mode) {
-      // Ack-tree baseline: a shed clone is a leaf — ack the parent so the
-      // tree still completes.
-      SendAck(net::Endpoint{clone.ack_parent_host, clone.ack_parent_port},
-              clone.ack_token);
-      FinishWalClone(wal_id);
-      continue;
-    }
-    std::vector<query::NodeReport> reports;
-    reports.reserve(clone.dest_urls.size());
-    for (const std::string& url : clone.dest_urls) {
-      reports.push_back(MakeBudgetReport(url, clone.State()));
-    }
-    (void)DispatchReports(clone, std::move(reports));
-    FinishWalClone(wal_id);
-  }
+  (void)FinishUnevaluated(shed, MakeBudgetReport);
 }
 
 void QueryServer::Retire() {
@@ -614,93 +456,54 @@ void QueryServer::Retire() {
 }
 
 void QueryServer::RetireUnit(QueuedClone unit) {
-  const net::Endpoint self{host_, kQueryServerPort};
   if (unit.tracked && !unit.acked) {
     // Terminal NACK instead of an ack: the sender abandons the transfer
     // immediately and feeds its breaker (§10.2).
-    receiver_.SendSiteRetired(self, unit.from, unit.seq);
+    receiver_.SendSiteRetired(net::Endpoint{host_, kQueryServerPort},
+                              unit.from, unit.seq);
     ++stats_.site_retired_nacks_sent;
     // Record receipt without acking: if the NACK is lost, the
     // retransmission is answered with the NACK alone — a second round of
     // reports would double-delete the nodes' CHT entries.
     receiver_.RestoreSeen(unit.from, unit.seq);
   }
-  for (size_t i = 0; i < unit.clones.size(); ++i) {
-    query::WebQuery& clone = unit.clones[i];
-    const uint64_t wal_id = unit.wal_id == 0 ? 0 : unit.wal_id + i;
-    if (terminated_queries_.contains(clone.id.Key())) {
-      FinishWalClone(wal_id);
-      continue;
-    }
-    if (clone.ack_mode) {
-      // Ack-tree baseline: a retired site is a leaf — ack the parent so
-      // the tree still completes.
-      SendAck(net::Endpoint{clone.ack_parent_host, clone.ack_parent_port},
-              clone.ack_token);
-      FinishWalClone(wal_id);
-      continue;
-    }
-    std::vector<query::NodeReport> reports;
-    reports.reserve(clone.dest_urls.size());
-    for (const std::string& url : clone.dest_urls) {
-      reports.push_back(MakeRetiredReport(url, clone.State()));
-    }
-    stats_.retired_reports_sent += reports.size();
-    (void)DispatchReports(clone, std::move(reports));
-    FinishWalClone(wal_id);
-  }
+  stats_.retired_reports_sent += FinishUnevaluated(unit, MakeRetiredReport);
 }
 
-void QueryServer::HandleCloneWhileRetired(
-    const net::Endpoint& from, net::MessageType type,
-    const std::vector<uint8_t>& payload) {
-  const net::Endpoint self{host_, kQueryServerPort};
-  QueuedClone unit;
-  unit.from = from;
-  unit.tracked = receiver_.enabled();
-  std::vector<uint8_t> inner;
-  const std::vector<uint8_t>* body = &payload;
-  if (unit.tracked) {
-    if (!net::ReliableReceiver::PeekSeq(payload, &unit.seq)) return;
-    if (receiver_.TestSeen(from, unit.seq)) {
-      // A transfer committed before retirement was already answered once;
-      // only the terminal NACK is due (its ack may have been lost).
-      receiver_.SendSiteRetired(self, from, unit.seq);
-      ++stats_.site_retired_nacks_sent;
-      return;
+size_t QueryServer::FinishUnevaluated(const QueuedClone& unit,
+                                      ReportMaker make) {
+  // Every branch is terminal for the member, so its kCloneCompleted record
+  // (when persisted) is due regardless.
+  size_t reports = 0;
+  for (size_t i = 0; i < unit.clones.size(); ++i) {
+    const query::WebQuery& clone = unit.clones[i];
+    if (!terminated_queries_.contains(clone.id.Key())) {
+      reports += ReportUnevaluated(clone, make);
     }
-    if (!net::ReliableReceiver::StripEnvelope(payload, &inner)) return;
-    body = &inner;
+    FinishWalClone(unit.member_wal_id(i));
   }
-  serialize::Decoder dec(*body);
-  if (type == net::MessageType::kWebQuery) {
-    query::WebQuery clone;
-    Status status = query::WebQuery::DecodeFrom(&dec, &clone);
-    if (status.ok()) status = dec.ExpectAtEnd("clone payload");
-    if (!status.ok()) {
-      ++stats_.decode_errors;
-      if (unit.tracked) {
-        receiver_.SendSiteRetired(self, from, unit.seq);
-        ++stats_.site_retired_nacks_sent;
-      }
-      return;
-    }
-    unit.clones.push_back(std::move(clone));
-  } else {
-    query::CloneBatch batch;
-    Status status = query::CloneBatch::DecodeFrom(&dec, &batch);
-    if (status.ok()) status = dec.ExpectAtEnd("clone-batch payload");
-    if (!status.ok()) {
-      ++stats_.decode_errors;
-      if (unit.tracked) {
-        receiver_.SendSiteRetired(self, from, unit.seq);
-        ++stats_.site_retired_nacks_sent;
-      }
-      return;
-    }
-    unit.clones = std::move(batch.clones);
+  return reports;
+}
+
+size_t QueryServer::ReportUnevaluated(const query::WebQuery& clone,
+                                      ReportMaker make) {
+  if (clone.ack_mode) {
+    // Ack-tree baseline: an unevaluated clone is a leaf — ack the parent so
+    // the tree still completes.
+    SendAck(net::Endpoint{clone.ack_parent_host, clone.ack_parent_port},
+            clone.ack_token);
+    return 0;
   }
-  RetireUnit(std::move(unit));
+  std::vector<query::NodeReport> reports;
+  reports.reserve(clone.dest_urls.size());
+  for (const std::string& url : clone.dest_urls) {
+    reports.push_back(make(url, clone.State()));
+  }
+  const size_t count = reports.size();
+  // Deliberately dropped: a terminal answer forwards nothing, so the
+  // no-forwarding-after-termination contract has nothing left to gate.
+  (void)DispatchReports(clone, std::move(reports));
+  return count;
 }
 
 const relational::Database& QueryServer::NodeDatabase(
@@ -977,8 +780,6 @@ void QueryServer::OnAck(uint64_t token) {
 bool QueryServer::DispatchReports(const query::WebQuery& clone,
                                   std::vector<query::NodeReport> reports) {
   if (reports.empty()) return true;
-  const net::Endpoint self{host_, kQueryServerPort};
-  const net::Endpoint user_site{clone.id.reply_host, clone.id.reply_port};
   std::vector<query::QueryReport> messages;
   if (options_.batch_reports) {
     query::QueryReport qr;
@@ -1007,32 +808,41 @@ bool QueryServer::DispatchReports(const query::WebQuery& clone,
     return true;
   }
   for (const query::QueryReport& qr : messages) {
-    serialize::Encoder enc;
-    qr.EncodeTo(&enc);
-    const Status status = sender_.Send(
-        self, user_site, net::MessageType::kReport, enc.Release());
-    if (status.code() == StatusCode::kConnectionRefused) {
-      // Passive termination (Section 2.8): the user site closed its result
-      // socket; purge the query locally and do not forward. Only the
-      // synchronous refusal means this — see report_send_errors below.
-      ++stats_.passive_terminations;
-      terminated_queries_.insert(clone.id.Key());
-      log_table_.PurgeQuery(clone.id.Key());
-      return false;
-    }
-    if (!status.ok()) {
-      // Transient transport error (e.g. IoError mid-write over real TCP).
-      // NOT a termination signal: purging here would strand the user site's
-      // CHT entries until deadline-GC even though the site is alive. With
-      // retry enabled the transfer is already armed for retransmission;
-      // either way the deadline sweep is the backstop, so keep going.
-      ++stats_.report_send_errors;
-      WEBDIS_LOG(kWarning) << host_ << ": report to "
-                           << user_site.ToString()
-                           << " failed: " << status.ToString();
-    }
+    if (!SendReport(qr)) return false;  // passive termination: no forwarding
   }
   return true;
+}
+
+bool QueryServer::SendReport(const query::QueryReport& qr) {
+  const net::Endpoint user_site{qr.id.reply_host, qr.id.reply_port};
+  serialize::Encoder enc;
+  qr.EncodeTo(&enc);
+  const Status status =
+      sender_.Send(net::Endpoint{host_, kQueryServerPort}, user_site,
+                   net::MessageType::kReport, enc.Release());
+  if (status.code() == StatusCode::kConnectionRefused) {
+    // Only the synchronous refusal means the user site closed its result
+    // socket — see report_send_errors below.
+    TerminatePassively(qr.id);
+    return false;
+  }
+  if (!status.ok()) {
+    // Transient transport error (e.g. IoError mid-write over real TCP).
+    // NOT a termination signal: purging here would strand the user site's
+    // CHT entries until deadline-GC even though the site is alive. With
+    // retry enabled the transfer is already armed for retransmission;
+    // either way the deadline sweep is the backstop, so keep going.
+    ++stats_.report_send_errors;
+    WEBDIS_LOG(kWarning) << host_ << ": report to " << user_site.ToString()
+                         << " failed: " << status.ToString();
+  }
+  return true;
+}
+
+void QueryServer::TerminatePassively(const query::QueryId& id) {
+  ++stats_.passive_terminations;
+  terminated_queries_.insert(id.Key());
+  log_table_.PurgeQuery(id.Key());
 }
 
 void QueryServer::ProcessClone(query::WebQuery clone) {
@@ -1057,17 +867,7 @@ void QueryServer::ProcessClone(query::WebQuery clone) {
   const query::QueryBudget budget = clone.budget;
   if (budget.has_deadline && Now() > budget.deadline) {
     ++stats_.budget_expired_clones;
-    if (clone.ack_mode) {
-      SendAck(net::Endpoint{clone.ack_parent_host, clone.ack_parent_port},
-              clone.ack_token);
-      return;
-    }
-    std::vector<query::NodeReport> expired;
-    expired.reserve(clone.dest_urls.size());
-    for (const std::string& url : clone.dest_urls) {
-      expired.push_back(MakeBudgetReport(url, clone.State()));
-    }
-    (void)DispatchReports(clone, std::move(expired));
+    (void)ReportUnevaluated(clone, MakeBudgetReport);
     return;
   }
 
@@ -1241,64 +1041,47 @@ void QueryServer::ProcessClone(query::WebQuery clone) {
     // Circuit breaker (PROTOCOL.md §7.3): a tripped destination converts
     // the dispatch into an immediate host-unreachable outcome instead of
     // burning the retry budget against a host known to be failing.
-    if (!breakers_.Allow(out.dest_host, Now())) {
-      ++stats_.undeliverable_forwards;
-      for (const std::string& url : out.dest_urls) {
-        query::NodeReport nr;
-        nr.node_url = url;
-        nr.received_state.num_q =
-            static_cast<uint32_t>(next.remaining_queries.size());
-        nr.received_state.rem_pre = next.rem_pre;
-        nr.undeliverable = true;
-        followup_reports.push_back(std::move(nr));
+    if (breakers_.Allow(out.dest_host, Now())) {
+      if (BatchingEnabled() && !clone.ack_mode) {
+        // Cross-query batching (§9.2): stage for the next flush window,
+        // where clones of *different* queries to the same destination host
+        // share one kCloneBatch envelope. The breaker was consulted above;
+        // refusal handling (undeliverable follow-ups) moves to flush time.
+        staged_clones_[out.dest_host].push_back(std::move(next));
+        ScheduleFlush();
+        continue;
       }
-      continue;
-    }
-    if (BatchingEnabled() && !clone.ack_mode) {
-      // Cross-query batching (§9.2): stage for the next flush window, where
-      // clones of *different* queries to the same destination host share
-      // one kCloneBatch envelope. The breaker was consulted above; refusal
-      // handling (undeliverable follow-ups) moves to flush time.
-      staged_clones_[out.dest_host].push_back(std::move(next));
-      ScheduleFlush();
-      continue;
-    }
-    serialize::Encoder enc;
-    next.EncodeTo(&enc);
-    const Status status =
-        sender_.Send(self, net::Endpoint{out.dest_host, kQueryServerPort},
-                     net::MessageType::kWebQuery, enc.Release());
-    if (status.code() == StatusCode::kConnectionRefused) {
-      // The destination runs no query server (non-participating site, or it
-      // crashed). Tell the user site so (a) its CHT entries clear and
+      serialize::Encoder enc;
+      next.EncodeTo(&enc);
+      const Status status =
+          sender_.Send(self, net::Endpoint{out.dest_host, kQueryServerPort},
+                       net::MessageType::kWebQuery, enc.Release());
+      if (status.code() != StatusCode::kConnectionRefused) {
+        if (!status.ok()) {
+          // Transient error, not refusal: the clone may still arrive via
+          // the retry layer, so the CHT entries stay valid — do not report
+          // the nodes undeliverable (that would fall back to centralized
+          // processing AND possibly process them remotely on redelivery).
+          ++stats_.forward_send_errors;
+          WEBDIS_LOG(kWarning) << host_ << ": forward to " << out.dest_host
+                               << " failed: " << status.ToString();
+        } else if (!sender_.enabled()) {
+          // No delivery acks to wait for: synchronous acceptance is the
+          // best evidence of destination health we will get.
+          breakers_.RecordSuccess(out.dest_host, Now());
+        }
+        ++stats_.clones_forwarded;
+        ++ack_children;
+        continue;
+      }
+      // The destination runs no query server (non-participating site, or
+      // it crashed). Tell the user site so (a) its CHT entries clear and
       // (b) it can fall back to centralized processing for those nodes.
-      ++stats_.undeliverable_forwards;
       breakers_.RecordFailure(out.dest_host, Now());
-      for (const std::string& url : out.dest_urls) {
-        query::NodeReport nr;
-        nr.node_url = url;
-        nr.received_state.num_q =
-            static_cast<uint32_t>(next.remaining_queries.size());
-        nr.received_state.rem_pre = next.rem_pre;
-        nr.undeliverable = true;
-        followup_reports.push_back(std::move(nr));
-      }
-    } else {
-      if (!status.ok()) {
-        // Transient error, not refusal: the clone may still arrive via the
-        // retry layer, so the CHT entries stay valid — do not report the
-        // nodes undeliverable (that would fall back to centralized
-        // processing AND possibly process them remotely on redelivery).
-        ++stats_.forward_send_errors;
-        WEBDIS_LOG(kWarning) << host_ << ": forward to " << out.dest_host
-                             << " failed: " << status.ToString();
-      } else if (!sender_.enabled()) {
-        // No delivery acks to wait for: synchronous acceptance is the best
-        // evidence of destination health we will get.
-        breakers_.RecordSuccess(out.dest_host, Now());
-      }
-      ++stats_.clones_forwarded;
-      ++ack_children;
+    }
+    ++stats_.undeliverable_forwards;
+    for (const std::string& url : out.dest_urls) {
+      followup_reports.push_back(MakeUndeliverableReport(url, next.State()));
     }
   }
   if (!followup_reports.empty() && !clone.ack_mode) {
@@ -1337,50 +1120,36 @@ void QueryServer::AppendWalRecord(WalRecordType type,
   ++stats_.wal_records_appended;
 }
 
-uint64_t QueryServer::PersistAdmit(const net::Endpoint& from, bool tracked,
-                                   uint64_t seq,
-                                   const query::WebQuery& clone) {
-  if (!PersistEnabled()) return 0;
-  const uint64_t id = next_wal_id_++;
-  if (WalEnabled()) {
-    serialize::Encoder payload;
-    WalCloneAdmitted::EncodeFields(id, from, tracked, seq, clone, &payload);
-    AppendWalRecord(WalRecordType::kCloneAdmitted, payload);
-  }
-  return id;
-}
-
-uint64_t QueryServer::PersistAdmitBatch(
-    const net::Endpoint& from, bool tracked, uint64_t seq,
-    const std::vector<query::WebQuery>& clones) {
+uint64_t QueryServer::PersistAdmit(const QueuedClone& unit) {
   if (!PersistEnabled()) return 0;
   const uint64_t first = next_wal_id_;
-  next_wal_id_ += clones.size();
-  if (WalEnabled()) {
-    // One record covering every member, appended before the single batch
-    // ack (§9.2): all-or-none durability matches all-or-none admission.
-    serialize::Encoder payload;
-    WalBatchAdmitted::EncodeFields(first, from, tracked, seq, clones,
-                                   &payload);
+  next_wal_id_ += unit.clones.size();
+  // One record covering every member, appended before the single ack
+  // (§9.2): all-or-none durability matches all-or-none admission.
+  serialize::Encoder payload;
+  if (unit.batch) {
+    WalBatchAdmitted::EncodeFields(first, unit.from, unit.tracked, unit.seq,
+                                   unit.clones, &payload);
     AppendWalRecord(WalRecordType::kBatchAdmitted, payload);
+  } else {
+    WalCloneAdmitted::EncodeFields(first, unit.from, unit.tracked, unit.seq,
+                                   unit.clones.front(), &payload);
+    AppendWalRecord(WalRecordType::kCloneAdmitted, payload);
   }
   return first;
 }
 
 void QueryServer::FinishWalUnit(const QueuedClone& unit) {
-  if (unit.wal_id == 0) return;
   for (size_t i = 0; i < unit.clones.size(); ++i) {
-    FinishWalClone(unit.wal_id + i);
+    FinishWalClone(unit.member_wal_id(i));
   }
 }
 
 void QueryServer::FinishWalClone(uint64_t wal_id) {
   if (wal_id == 0) return;
-  if (WalEnabled()) {
-    serialize::Encoder payload;
-    WalCloneCompleted{wal_id}.EncodeTo(&payload);
-    AppendWalRecord(WalRecordType::kCloneCompleted, payload);
-  }
+  serialize::Encoder payload;
+  WalCloneCompleted{wal_id}.EncodeTo(&payload);
+  AppendWalRecord(WalRecordType::kCloneCompleted, payload);
   ++clones_since_snapshot_;
   MaybeSnapshot();
 }
@@ -1435,20 +1204,9 @@ void QueryServer::FlushBatches() {
       const size_t count = end - begin;
       if (count == 1) {
         // A lone member gains nothing from an envelope: send it as a plain
-        // kReport with the standard refusal semantics.
-        query::QueryReport& qr = members[begin];
-        const net::Endpoint user_site{qr.id.reply_host, qr.id.reply_port};
-        serialize::Encoder enc;
-        qr.EncodeTo(&enc);
-        const Status status = sender_.Send(
-            self, user_site, net::MessageType::kReport, enc.Release());
-        if (status.code() == StatusCode::kConnectionRefused) {
-          ++stats_.passive_terminations;
-          terminated_queries_.insert(qr.id.Key());
-          log_table_.PurgeQuery(qr.id.Key());
-        } else if (!status.ok()) {
-          ++stats_.report_send_errors;
-        }
+        // kReport with the standard refusal semantics. A refusal needs no
+        // answer here: the clone flush below skips terminated queries.
+        (void)SendReport(members[begin]);
         ++begin;
         continue;
       }
@@ -1470,25 +1228,11 @@ void QueryServer::FlushBatches() {
         // queries bound to that port passively (§2.8) and resend the other
         // members individually so one completed query cannot take its
         // batch peers down with it.
-        for (query::QueryReport& qr : batch.reports) {
+        for (const query::QueryReport& qr : batch.reports) {
           if (qr.id.reply_port == carrier_port) {
-            ++stats_.passive_terminations;
-            terminated_queries_.insert(qr.id.Key());
-            log_table_.PurgeQuery(qr.id.Key());
-            continue;
-          }
-          const net::Endpoint user_site{qr.id.reply_host, qr.id.reply_port};
-          serialize::Encoder single;
-          qr.EncodeTo(&single);
-          const Status resend =
-              sender_.Send(self, user_site, net::MessageType::kReport,
-                           single.Release());
-          if (resend.code() == StatusCode::kConnectionRefused) {
-            ++stats_.passive_terminations;
-            terminated_queries_.insert(qr.id.Key());
-            log_table_.PurgeQuery(qr.id.Key());
-          } else if (!resend.ok()) {
-            ++stats_.report_send_errors;
+            TerminatePassively(qr.id);
+          } else {
+            (void)SendReport(qr);
           }
         }
       } else if (!status.ok()) {
@@ -1547,11 +1291,7 @@ void QueryServer::FlushBatches() {
           std::vector<query::NodeReport> followups;
           followups.reserve(member.dest_urls.size());
           for (const std::string& url : member.dest_urls) {
-            query::NodeReport nr;
-            nr.node_url = url;
-            nr.received_state = member.State();
-            nr.undeliverable = true;
-            followups.push_back(std::move(nr));
+            followups.push_back(MakeUndeliverableReport(url, member.State()));
           }
           (void)DispatchReports(member, std::move(followups));
         }
@@ -1613,7 +1353,7 @@ void QueryServer::WriteSnapshotNow() {
     // would read as a replay and silently drop that member.
     for (size_t i = 0; i < queued.clones.size(); ++i) {
       DurablePendingClone pending;
-      pending.record_id = queued.wal_id == 0 ? 0 : queued.wal_id + i;
+      pending.record_id = queued.member_wal_id(i);
       pending.from = queued.from;
       pending.tracked = queued.tracked && i == 0;
       pending.seq = i == 0 ? queued.seq : 0;
@@ -1678,6 +1418,32 @@ void QueryServer::Recover() {
   }
   uint64_t max_wal_id = state.last_wal_id;
   const uint64_t replayed_before = stats_.replayed_wal_records;
+  // kCloneAdmitted and kBatchAdmitted both admit ids first..first+n-1 from
+  // one transfer. Carrier rule (see WriteSnapshotNow): the transfer's single
+  // seq rides on member 0 only.
+  const auto admit = [&](uint64_t first, const net::Endpoint& from,
+                         bool tracked, uint64_t seq,
+                         std::vector<query::WebQuery> clones) {
+    max_wal_id = std::max(max_wal_id, first + clones.size() - 1);
+    if (tracked) {
+      // The pre-crash life acked this transfer right after the append;
+      // restoring the receipt keeps post-restart retransmissions re-acked
+      // instead of reprocessed.
+      receiver_.RestoreSeen(from, seq);
+    }
+    for (size_t i = 0; i < clones.size(); ++i) {
+      const uint64_t id = first + i;
+      if (id <= state.last_wal_id) continue;  // in the snapshot
+      DurablePendingClone p;
+      p.record_id = id;
+      p.from = from;
+      p.tracked = tracked && i == 0;
+      p.seq = i == 0 ? seq : 0;
+      p.clone = std::move(clones[i]);
+      pending.emplace(id, std::move(p));
+    }
+    ++stats_.replayed_wal_records;
+  };
   if (WalEnabled()) {
     auto wal_bytes = persist_->ReadWal();
     if (wal_bytes.ok()) {
@@ -1692,23 +1458,10 @@ void QueryServer::Recover() {
                 !dec.ExpectAtEnd("WAL clone-admitted record").ok()) {
               break;
             }
-            max_wal_id = std::max(max_wal_id, admitted.record_id);
-            if (admitted.tracked) {
-              // The pre-crash life acked this transfer right after the
-              // append; restoring the receipt keeps post-restart
-              // retransmissions re-acked instead of reprocessed.
-              receiver_.RestoreSeen(admitted.from, admitted.seq);
-            }
-            if (admitted.record_id > state.last_wal_id) {
-              DurablePendingClone p;
-              p.record_id = admitted.record_id;
-              p.from = admitted.from;
-              p.tracked = admitted.tracked;
-              p.seq = admitted.seq;
-              p.clone = std::move(admitted.clone);
-              pending.emplace(p.record_id, std::move(p));
-            }
-            ++stats_.replayed_wal_records;
+            std::vector<query::WebQuery> clones;
+            clones.push_back(std::move(admitted.clone));
+            admit(admitted.record_id, admitted.from, admitted.tracked,
+                  admitted.seq, std::move(clones));
             break;
           }
           case WalRecordType::kCloneCompleted: {
@@ -1749,26 +1502,8 @@ void QueryServer::Recover() {
                 !dec.ExpectAtEnd("WAL batch-admitted record").ok()) {
               break;
             }
-            max_wal_id = std::max(
-                max_wal_id,
-                admitted.first_record_id + admitted.clones.size() - 1);
-            if (admitted.tracked) {
-              receiver_.RestoreSeen(admitted.from, admitted.seq);
-            }
-            for (size_t i = 0; i < admitted.clones.size(); ++i) {
-              const uint64_t id = admitted.first_record_id + i;
-              if (id <= state.last_wal_id) continue;  // in the snapshot
-              DurablePendingClone p;
-              p.record_id = id;
-              p.from = admitted.from;
-              // Carrier rule (see WriteSnapshotNow): the unit's single seq
-              // rides on member 0 only.
-              p.tracked = admitted.tracked && i == 0;
-              p.seq = i == 0 ? admitted.seq : 0;
-              p.clone = std::move(admitted.clones[i]);
-              pending.emplace(id, std::move(p));
-            }
-            ++stats_.replayed_wal_records;
+            admit(admitted.first_record_id, admitted.from, admitted.tracked,
+                  admitted.seq, std::move(admitted.clones));
             break;
           }
         }
@@ -1784,30 +1519,24 @@ void QueryServer::Recover() {
     ++stats_.cold_starts;
   }
 
-  // Re-enqueue survivors in admission order (the map is id-sorted).
-  // Tracked clones were acked in the pre-crash life under the WAL's
-  // ack-after-append rule; in snapshot-only mode the ack was still deferred
-  // at crash time, so the drain path must commit the seq as usual.
+  // Survivors take the arrivals' disposition in admission order (the map
+  // is id-sorted): processed, re-enqueued, or — at a retired site — answered
+  // terminally, never evaluated (§10.2). Tracked clones were acked in the
+  // pre-crash life under the WAL's ack-after-append rule; in snapshot-only
+  // mode the ack was still deferred at crash time, so the unit commits (or
+  // NACKs) the seq as usual.
   for (auto& [id, p] : pending) {
     ++stats_.recovered_clones;
-    QueuedClone entry;
-    entry.from = p.from;
-    entry.tracked = p.tracked;
-    entry.seq = p.seq;
-    entry.clones.push_back(std::move(p.clone));
-    entry.wal_id = id;
-    entry.acked = p.tracked && WalEnabled();
-    if (options_.admission.max_pending != 0) {
-      pending_clones_.push_back(std::move(entry));
-    } else {
-      ProcessCloneDurable(std::move(entry.clones.front()), entry.wal_id);
-    }
+    QueuedClone unit;
+    unit.from = p.from;
+    unit.tracked = p.tracked;
+    unit.seq = p.seq;
+    unit.clones.push_back(std::move(p.clone));
+    unit.wal_id = id;
+    unit.acked = p.tracked && WalEnabled();
+    Dispose(std::move(unit), /*recovered=*/true);
   }
-  if (!pending_clones_.empty()) {
-    stats_.queue_peak =
-        std::max<uint64_t>(stats_.queue_peak, pending_clones_.size());
-    ScheduleDrain();
-  }
+  ScheduleDrain();
 }
 
 }  // namespace webdis::server
