@@ -3,6 +3,7 @@
 #include "client/cht.h"
 #include "serialize/encoder.h"
 #include "client/user_site.h"
+#include "common/strings.h"
 #include "core/engine.h"
 #include "net/fault.h"
 #include "web/topologies.h"
@@ -356,6 +357,130 @@ TEST(ReportDedupTest, DuplicatedReportTransfersAreAbsorbed) {
       EXPECT_TRUE(seen.insert(key).second) << "duplicate row " << key;
     }
   }
+}
+
+
+// -- Settle edge paths: behaviour pinned at the pre-release client ------------
+
+std::string RowDump(const std::vector<relational::ResultSet>& results) {
+  std::string out;
+  for (const relational::ResultSet& rs : results) {
+    out += Join(rs.column_labels, ",") + ":";
+    for (const relational::Tuple& row : rs.rows) {
+      for (const relational::Value& v : row) out += v.ToString() + "|";
+      out += ";";
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+// The T6 harness path: with close_socket_on_completion=false a completed
+// run keeps its socket, so a late report still merges its rows (and the row
+// filter still drops repeats) and still touches the CHT.
+TEST_F(UserSiteTest, OpenSocketAfterCompletionMergesLateReports) {
+  core::EngineOptions options;
+  options.client.close_socket_on_completion = false;
+  core::Engine engine = MakeEngine(options);
+  auto compiled = disql::CompileDisql(scenario_.disql);
+  ASSERT_TRUE(compiled.ok());
+  auto id = engine.Submit(compiled.value());
+  ASSERT_TRUE(id.ok());
+  engine.network().RunUntilIdle();
+  const UserSite::QueryRun* run = engine.user_site().Find(id.value());
+  ASSERT_TRUE(run->completed);
+  EXPECT_FALSE(run->socket_closed);
+  const size_t entries_at_completion = run->cht.entries().size();
+  EXPECT_EQ(entries_at_completion, run->cht.total_count());
+  EXPECT_GT(entries_at_completion, 0u);
+
+  query::QueryReport late;
+  late.id = id.value();
+  query::NodeReport nr;
+  nr.node_url = "http://late.example/";
+  nr.received_state = S(1, "L");
+  relational::ResultSet rs;
+  rs.column_labels = {"d0.url"};
+  rs.rows.push_back({relational::Value(std::string("http://late.example/"))});
+  rs.rows.push_back(
+      {relational::Value(std::string("http://www.csa.iisc.ernet.in/Labs"))});
+  nr.result_sets.push_back(std::move(rs));
+  late.node_reports.push_back(std::move(nr));
+  serialize::Encoder enc;
+  late.EncodeTo(&enc);
+  ASSERT_TRUE(engine.network()
+                  .Send(net::Endpoint{"late.example", 1},
+                        net::Endpoint{core::Engine::kClientHost,
+                                      id->reply_port},
+                        net::MessageType::kReport, enc.Release())
+                  .ok());
+  engine.network().RunUntilIdle();
+  EXPECT_EQ(RowDump(run->results),
+            "d0.url:http://www.csa.iisc.ernet.in/Labs|;http://late.example/|;\n"
+            "d1.url,r.text:"
+            "http://www2.csa.iisc.ernet.in/~gang/lab|"
+            "Convener : Prof. D. K. Subramanian|;"
+            "http://www-compiler.csa.iisc.ernet.in/people|"
+            "Convener Prof. Y.N. Srikant|;"
+            "http://dsl.serc.iisc.ernet.in/people|CONVENER Jayant Haritsa|;\n");
+  EXPECT_EQ(run->stats.ToText(),
+            "reports_received: 11\nnode_reports: 15\n"
+            "result_rows_received: 6\nduplicate_rows_filtered: 1\n");
+  EXPECT_EQ(run->cht.unmatched_deletes(), 1u);
+  EXPECT_EQ(run->cht.entries().size(), entries_at_completion);
+}
+
+// Cancel closes the socket but settles nothing: AbandonStalled afterwards
+// still drains the outstanding CHT entries into the fallback list.
+TEST_F(UserSiteTest, CancelThenAbandonReturnsOutstandingEntries) {
+  core::EngineOptions options;
+  options.network.inter_host_latency = 100 * kMillisecond;
+  core::Engine engine = MakeEngine(options);
+  auto compiled = disql::CompileDisql(scenario_.disql);
+  ASSERT_TRUE(compiled.ok());
+  auto id = engine.Submit(compiled.value());
+  ASSERT_TRUE(id.ok());
+  engine.network().RunOne();
+  engine.network().RunOne();
+  engine.user_site().Cancel(id.value());
+  engine.network().RunUntilIdle();
+  const UserSite::QueryRun* run = engine.user_site().Find(id.value());
+  ASSERT_TRUE(run->cancelled);
+  ASSERT_FALSE(run->completed);
+  const size_t abandoned = engine.user_site().AbandonStalled(id.value());
+  EXPECT_EQ(abandoned, 1u);
+  EXPECT_TRUE(run->completed);
+  std::string fallback;
+  for (const query::ChtEntry& entry : run->fallback_nodes) {
+    fallback += entry.node_url + " " + std::to_string(entry.state.num_q) +
+                " " + entry.state.rem_pre.ToString() + "\n";
+  }
+  EXPECT_EQ(fallback, "http://www.csa.iisc.ernet.in/ 2 L\n");
+  EXPECT_EQ(run->completion_time, 201116);
+  EXPECT_EQ(engine.user_site().AbandonStalled(id.value()), 0u);
+}
+
+// Row-limit truncation settles the run mid-traversal; the answer, the
+// completion time and the counters are those of the pre-release client.
+TEST_F(UserSiteTest, RowLimitTruncationSettlesRun) {
+  core::EngineOptions options;
+  options.client.row_limit = 2;
+  core::Engine engine = MakeEngine(options);
+  auto outcome = engine.Run(scenario_.disql);
+  ASSERT_TRUE(outcome.ok());
+  const UserSite::QueryRun* run = engine.user_site().Find(outcome->id);
+  EXPECT_TRUE(run->completed);
+  EXPECT_TRUE(run->truncated);
+  EXPECT_TRUE(run->socket_closed);
+  EXPECT_EQ(RowDump(run->results),
+            "d0.url:http://www.csa.iisc.ernet.in/Labs|;\n"
+            "d1.url,r.text:http://www2.csa.iisc.ernet.in/~gang/lab|"
+            "Convener : Prof. D. K. Subramanian|;\n");
+  EXPECT_EQ(run->completion_time, 61045);
+  EXPECT_EQ(run->stats.ToText(),
+            "reports_received: 6\nnode_reports: 9\nresult_rows_received: 2\n");
+  EXPECT_EQ(outcome->cht_total_entries, 14u);
+  EXPECT_EQ(outcome->cht_max_active, 7u);
 }
 
 }  // namespace

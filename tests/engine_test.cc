@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "core/trace.h"
 
 #include <map>
@@ -76,6 +77,36 @@ TEST(EngineCampusTest, CompletionDetectedViaCht) {
   EXPECT_EQ(outcome->completion_time, outcome->last_report_time);
   EXPECT_GT(outcome->cht_total_entries, 0u);
   EXPECT_EQ(outcome->cht_unmatched_deletes, 0u);
+}
+
+// The fig-7 sample query's run statistics and CHT counters, captured before
+// the user site began releasing a settled run's tables: settling must not
+// move any counter the outcome reports.
+TEST(EngineCampusTest, Figure7RunStatsMatchGolden) {
+  web::CampusScenario scenario = web::BuildCampusScenario();
+  Engine engine(&scenario.web);
+  auto outcome = engine.Run(scenario.disql, "maya");
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  const std::string cht = StringPrintf(
+      "cht: total=%llu max_active=%llu suppressed=%llu unmatched=%llu\n",
+      (unsigned long long)outcome->cht_total_entries,
+      (unsigned long long)outcome->cht_max_active,
+      (unsigned long long)outcome->cht_suppressed,
+      (unsigned long long)outcome->cht_unmatched_deletes);
+  EXPECT_EQ(cht + FormatRunStats(outcome.value()),
+            "cht: total=14 max_active=7 suppressed=0 unmatched=0\n"
+            "client:\n"
+            "  reports_received: 10\n"
+            "  node_reports: 14\n"
+            "  result_rows_received: 4\n"
+            "servers:\n"
+            "  clones_received: 10\n"
+            "  nodes_processed: 14\n"
+            "  node_queries_evaluated: 13\n"
+            "  answers_found: 4\n"
+            "  db_constructions: 14\n"
+            "  clones_forwarded: 9\n"
+            "  dead_ends: 9\n");
 }
 
 TEST(EngineCampusTest, NoDocumentDownloadsInQueryShipping) {
