@@ -60,6 +60,7 @@ bool CurrentHostsTable::Add(const std::string& node_url,
     if (!matched) logged.push_back(state.rem_pre);
   }
   entries_.push_back(Entry{node_url, state, false, now});
+  ++total_entries_;
   ++active_;
   max_active_ = std::max(max_active_, active_);
   return true;
@@ -148,7 +149,13 @@ bool CurrentHostsTable::AllDeleted() const {
   if (robust_) {
     return total_adds_ > 0 && nonzero_keys_ == 0;
   }
-  return !entries_.empty() && active_ == 0;
+  return total_entries_ > 0 && active_ == 0;
+}
+
+void CurrentHostsTable::Release() {
+  entries_ = std::vector<Entry>();
+  balance_.clear();
+  mirror_.clear();
 }
 
 }  // namespace webdis::client

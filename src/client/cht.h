@@ -84,8 +84,14 @@ class CurrentHostsTable {
   /// arrive once the sender is dead).
   std::vector<Entry> DrainExpired(SimTime now, SimDuration deadline);
 
+  /// Frees the entry list, the balances and the dedup mirror once the query
+  /// has settled and its socket is closed (no CHT traffic can follow). The
+  /// counters below keep their values; a released table holds no entries.
+  void Release();
+
   size_t active_count() const { return active_; }
-  size_t total_count() const { return entries_.size(); }
+  /// Entries ever added (unsuppressed); unchanged by Release().
+  size_t total_count() const { return total_entries_; }
   /// High-water mark of concurrent active entries — the CHT memory cost the
   /// protocol pays for completion detection.
   size_t max_active() const { return max_active_; }
@@ -113,6 +119,7 @@ class CurrentHostsTable {
   bool dedup_;
   bool robust_;
   std::vector<Entry> entries_;
+  size_t total_entries_ = 0;
   size_t active_ = 0;
   size_t max_active_ = 0;
   uint64_t suppressed_ = 0;

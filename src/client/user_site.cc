@@ -260,13 +260,10 @@ void UserSite::FinishWithTimeout(const query::QueryId& id,
   if (it == runs_.end()) return;
   QueryRun* run = it->second.get();
   if (run->completed) return;
-  run->completed = true;
-  CancelSweep(run);
   const SimTime base =
       run->stats.reports_received > 0 ? run->last_report_time
                                       : run->submit_time;
-  run->completion_time = base + timeout;
-  CloseResultSocket(run);
+  Settle(run, base + timeout, /*close_socket=*/true);
 }
 
 size_t UserSite::AbandonStalled(const query::QueryId& id) {
@@ -280,11 +277,21 @@ size_t UserSite::AbandonStalled(const query::QueryId& id) {
     run->fallback_nodes.push_back(
         query::ChtEntry{entry.node_url, entry.state});
   }
+  Settle(run, clock_(), /*close_socket=*/true);
+  return outstanding.size();
+}
+
+void UserSite::Settle(QueryRun* run, SimTime completion_time,
+                      bool close_socket) {
   run->completed = true;
   CancelSweep(run);
-  run->completion_time = clock_();
+  run->completion_time = completion_time;
+  // An open socket (the T6 harness) still merges late reports into the CHT
+  // and the row filter, so they stay.
+  if (!close_socket) return;
   CloseResultSocket(run);
-  return outstanding.size();
+  run->cht.Release();
+  run->seen_rows = std::set<std::string>();
 }
 
 void UserSite::CloseResultSocket(QueryRun* run) {
@@ -477,10 +484,7 @@ void UserSite::HandleReport(QueryRun* run,
     }
     if (unique_rows >= options_.row_limit) {
       run->truncated = true;
-      run->completed = true;
-      CancelSweep(run);
-      run->completion_time = clock_();
-      CloseResultSocket(run);
+      Settle(run, clock_(), /*close_socket=*/true);
       return;
     }
   }
@@ -489,7 +493,6 @@ void UserSite::HandleReport(QueryRun* run,
 
 void UserSite::MergeResults(QueryRun* run, const relational::ResultSet& rs) {
   const std::string signature = Join(rs.column_labels, "\x1f");
-  std::set<std::string>& seen = seen_rows_[run->id.Key()];
   relational::ResultSet* target = nullptr;
   for (relational::ResultSet& existing : run->results) {
     if (existing.column_labels == rs.column_labels) {
@@ -510,7 +513,7 @@ void UserSite::MergeResults(QueryRun* run, const relational::ResultSet& rs) {
       key += '\x1e';
       key += v.ToString();
     }
-    if (!seen.insert(std::move(key)).second) {
+    if (!run->seen_rows.insert(std::move(key)).second) {
       // Duplicate rows reach the user when recomputation suppression is
       // disabled ("the same set of results will be received multiple times
       // and these will have to be filtered", Section 3.1).
@@ -523,26 +526,10 @@ void UserSite::MergeResults(QueryRun* run, const relational::ResultSet& rs) {
 
 void UserSite::MaybeComplete(QueryRun* run) {
   if (run->completed || run->cancelled) return;
-  if (options_.ack_tree_termination) {
-    if (run->outstanding_root_acks.empty()) {
-      run->completed = true;
-      CancelSweep(run);
-      run->completion_time = clock_();
-      if (options_.close_socket_on_completion) {
-        CloseResultSocket(run);
-      }
-    }
-    return;
-  }
-  if (!options_.use_cht) return;
-  if (run->cht.AllDeleted()) {
-    run->completed = true;
-    CancelSweep(run);
-    run->completion_time = clock_();
-    if (options_.close_socket_on_completion) {
-      CloseResultSocket(run);
-    }
-  }
+  const bool done = options_.ack_tree_termination
+                        ? run->outstanding_root_acks.empty()
+                        : options_.use_cht && run->cht.AllDeleted();
+  if (done) Settle(run, clock_(), options_.close_socket_on_completion);
 }
 
 }  // namespace webdis::client

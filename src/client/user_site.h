@@ -163,6 +163,9 @@ class UserSite {
     CurrentHostsTable cht;
     /// Result sets merged by column-label signature, duplicates filtered.
     std::vector<relational::ResultSet> results;
+    /// Row filter: label signature + row rendering already merged. Freed
+    /// with the CHT tables when the run settles with its socket closed.
+    std::set<std::string> seen_rows;
     bool completed = false;
     bool cancelled = false;
     /// Set when the row_limit cut the query short (approximate answer).
@@ -259,6 +262,13 @@ class UserSite {
   void HandleReport(QueryRun* run, const query::QueryReport& report);
   void MergeResults(QueryRun* run, const relational::ResultSet& rs);
   void MaybeComplete(QueryRun* run);
+  /// The one completion path (CHT or ack-tree completion, row-limit
+  /// truncation, timeout, abandonment): marks the run complete at
+  /// `completion_time` and stops its deadline sweep. With `close_socket` it
+  /// also closes the result socket and frees the per-query tables no
+  /// report can reach any more (CHT entries, balances, mirror, row filter);
+  /// their counters stay for CollectOutcome.
+  void Settle(QueryRun* run, SimTime completion_time, bool close_socket);
   void CloseResultSocket(QueryRun* run);
   /// Deadline GC: expires idle outstanding CHT keys, records their hosts as
   /// unreachable, and re-arms itself while the run is incomplete.
@@ -282,8 +292,6 @@ class UserSite {
   uint16_t next_port_;
   uint32_t next_query_number_ = 1;
   std::map<std::string, std::unique_ptr<QueryRun>> runs_;  // by QueryId::Key
-  /// Per-run row filter: label signature + row rendering already seen.
-  std::map<std::string, std::set<std::string>> seen_rows_;
   ReportObserver report_observer_;
 };
 

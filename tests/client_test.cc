@@ -102,6 +102,30 @@ TEST(ChtRobustModeTest, StateCanonicalizationInBalanceKeys) {
   EXPECT_TRUE(cht.AllDeleted());
 }
 
+TEST(ChtReleaseTest, ReleaseFreesTablesAndKeepsCounters) {
+  for (const bool robust : {false, true}) {
+    CurrentHostsTable cht(/*dedup=*/true, robust);
+    cht.Add("http://a/x", S(1, "L*2.G"));
+    cht.Add("http://a/x", S(1, "L*1.G"));  // suppressed
+    cht.Add("http://a/y", S(1, "G"));
+    cht.MarkDeleted("http://a/x", S(1, "L*2.G"));
+    cht.MarkDeleted("http://a/y", S(2, "G"));  // unmatched
+    cht.MarkDeleted("http://a/y", S(1, "G"));
+    const size_t total = cht.total_count();
+    const size_t max_active = cht.max_active();
+    const uint64_t suppressed = cht.suppressed_count();
+    const uint64_t unmatched = cht.unmatched_deletes();
+    EXPECT_EQ(total, 2u);
+    cht.Release();
+    EXPECT_TRUE(cht.entries().empty()) << robust;
+    EXPECT_EQ(cht.total_count(), total) << robust;
+    EXPECT_EQ(cht.max_active(), max_active) << robust;
+    EXPECT_EQ(cht.suppressed_count(), suppressed) << robust;
+    EXPECT_EQ(cht.unmatched_deletes(), unmatched) << robust;
+    EXPECT_EQ(cht.active_count(), 0u) << robust;
+  }
+}
+
 // -- UserSite ---------------------------------------------------------------------
 
 class UserSiteTest : public ::testing::Test {
@@ -360,7 +384,7 @@ TEST(ReportDedupTest, DuplicatedReportTransfersAreAbsorbed) {
 }
 
 
-// -- Settle edge paths: behaviour pinned at the pre-release client ------------
+// -- Settling a run ---------------------------------------------------------------
 
 std::string RowDump(const std::vector<relational::ResultSet>& results) {
   std::string out;
@@ -374,6 +398,52 @@ std::string RowDump(const std::vector<relational::ResultSet>& results) {
   }
   return out;
 }
+
+// A run that settles with its socket closed frees the CHT tables and the row
+// filter; every counter the outcome reports equals its value at the moment
+// of settling, read from the same run with its socket (and so its tables)
+// kept open, stepped event by event up to completion.
+TEST(SettleTest, SettledRunFreesTablesAndKeepsCounters) {
+  const web::Scenario fig5 = web::BuildFig5Scenario();
+  auto compiled = disql::CompileDisql(fig5.disql);
+  ASSERT_TRUE(compiled.ok());
+  for (const bool robust : {false, true}) {
+    core::EngineOptions options;
+    options.client.robust_completion = robust;
+    options.server.dedup_enabled = false;  // duplicate rows reach the filter
+    core::Engine settled(&fig5.web, options);
+    auto a = settled.Run(fig5.disql);
+    ASSERT_TRUE(a.ok());
+    const UserSite::QueryRun* freed = settled.user_site().Find(a->id);
+
+    options.client.close_socket_on_completion = false;
+    core::Engine kept(&fig5.web, options);
+    auto id = kept.Submit(compiled.value());
+    ASSERT_TRUE(id.ok());
+    const UserSite::QueryRun* open = kept.user_site().Find(id.value());
+    while (!open->completed && kept.network().RunOne()) {
+    }
+    ASSERT_TRUE(open->completed);
+
+    EXPECT_TRUE(freed->socket_closed);
+    EXPECT_TRUE(freed->cht.entries().empty()) << robust;
+    EXPECT_TRUE(freed->seen_rows.empty()) << robust;
+    EXPECT_FALSE(open->cht.entries().empty()) << robust;
+    EXPECT_FALSE(open->seen_rows.empty()) << robust;
+    EXPECT_EQ(a->cht_total_entries, open->cht.entries().size()) << robust;
+    EXPECT_EQ(a->cht_total_entries, open->cht.total_count()) << robust;
+    EXPECT_EQ(a->cht_max_active, open->cht.max_active()) << robust;
+    EXPECT_EQ(a->cht_suppressed, open->cht.suppressed_count()) << robust;
+    EXPECT_EQ(a->cht_unmatched_deletes, open->cht.unmatched_deletes())
+        << robust;
+    EXPECT_EQ(a->completion_time, open->completion_time) << robust;
+    EXPECT_EQ(a->client_stats.ToText(), open->stats.ToText()) << robust;
+    EXPECT_EQ(RowDump(a->results), RowDump(open->results)) << robust;
+  }
+}
+
+// -- Settle edge paths: behaviour pinned at the pre-release client ------------
+
 
 // The T6 harness path: with close_socket_on_completion=false a completed
 // run keeps its socket, so a late report still merges its rows (and the row
@@ -428,6 +498,7 @@ TEST_F(UserSiteTest, OpenSocketAfterCompletionMergesLateReports) {
             "result_rows_received: 6\nduplicate_rows_filtered: 1\n");
   EXPECT_EQ(run->cht.unmatched_deletes(), 1u);
   EXPECT_EQ(run->cht.entries().size(), entries_at_completion);
+  EXPECT_EQ(run->seen_rows.size(), 5u);  // 4 rows + the late one
 }
 
 // Cancel closes the socket but settles nothing: AbandonStalled afterwards
@@ -447,6 +518,7 @@ TEST_F(UserSiteTest, CancelThenAbandonReturnsOutstandingEntries) {
   const UserSite::QueryRun* run = engine.user_site().Find(id.value());
   ASSERT_TRUE(run->cancelled);
   ASSERT_FALSE(run->completed);
+  EXPECT_FALSE(run->cht.entries().empty());  // Cancel releases nothing
   const size_t abandoned = engine.user_site().AbandonStalled(id.value());
   EXPECT_EQ(abandoned, 1u);
   EXPECT_TRUE(run->completed);
@@ -457,6 +529,7 @@ TEST_F(UserSiteTest, CancelThenAbandonReturnsOutstandingEntries) {
   }
   EXPECT_EQ(fallback, "http://www.csa.iisc.ernet.in/ 2 L\n");
   EXPECT_EQ(run->completion_time, 201116);
+  EXPECT_TRUE(run->cht.entries().empty());
   EXPECT_EQ(engine.user_site().AbandonStalled(id.value()), 0u);
 }
 
@@ -481,6 +554,8 @@ TEST_F(UserSiteTest, RowLimitTruncationSettlesRun) {
             "reports_received: 6\nnode_reports: 9\nresult_rows_received: 2\n");
   EXPECT_EQ(outcome->cht_total_entries, 14u);
   EXPECT_EQ(outcome->cht_max_active, 7u);
+  EXPECT_TRUE(run->cht.entries().empty());
+  EXPECT_TRUE(run->seen_rows.empty());
 }
 
 }  // namespace

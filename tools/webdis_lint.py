@@ -172,7 +172,6 @@ CONFINEMENT_ALLOWLIST = {
         # All mutated only from this site's result-socket / timer handlers,
         # which share the user site's single host partition.
         "sender_", "receiver_", "next_port_", "next_query_number_", "runs_",
-        "seen_rows_",
         # §10.4 oracle hook: assigned before the run starts, invoked only
         # from this site's result-socket handlers (single host partition).
         "report_observer_",
