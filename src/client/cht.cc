@@ -60,7 +60,6 @@ bool CurrentHostsTable::Add(const std::string& node_url,
     if (!matched) logged.push_back(state.rem_pre);
   }
   entries_.push_back(Entry{node_url, state, false, now});
-  ++total_entries_;
   ++active_;
   max_active_ = std::max(max_active_, active_);
   return true;
@@ -149,7 +148,7 @@ bool CurrentHostsTable::AllDeleted() const {
   if (robust_) {
     return total_adds_ > 0 && nonzero_keys_ == 0;
   }
-  return total_entries_ > 0 && active_ == 0;
+  return total_count() > 0 && active_ == 0;
 }
 
 void CurrentHostsTable::Release() {

@@ -91,7 +91,7 @@ class CurrentHostsTable {
 
   size_t active_count() const { return active_; }
   /// Entries ever added (unsuppressed); unchanged by Release().
-  size_t total_count() const { return total_entries_; }
+  size_t total_count() const { return total_adds_ - suppressed_; }
   /// High-water mark of concurrent active entries — the CHT memory cost the
   /// protocol pays for completion detection.
   size_t max_active() const { return max_active_; }
@@ -119,7 +119,6 @@ class CurrentHostsTable {
   bool dedup_;
   bool robust_;
   std::vector<Entry> entries_;
-  size_t total_entries_ = 0;
   size_t active_ = 0;
   size_t max_active_ = 0;
   uint64_t suppressed_ = 0;
