@@ -1,9 +1,10 @@
 // Plain (no fuzzer runtime) driver for the checked-in corpus: replays every
-// input under <corpus>/{wire,wal,snapshot,html}/ through the matching fuzz
+// input under <corpus>/{wire,wal,snapshot,html,url}/ through the matching fuzz
 // dispatcher. Runs as the `fuzz_replay_test` ctest target, so tier-1 and
 // the ASan CI job exercise every golden-frame seed and every hardening
 // regression input on each build — a decoder crash, round-trip fixpoint
-// violation or page-parser oracle mismatch aborts and fails the test.
+// violation, page-parser oracle mismatch or URL resource-key fixpoint
+// violation aborts and fails the test.
 //
 // Usage:
 //   fuzz_replay <corpus_root>            replay the corpus
@@ -79,13 +80,15 @@ int main(int argc, char** argv) {
   const int wal = ReplayDir(root / "wal", webdis::fuzz::FuzzWalStream);
   const int snapshot = ReplayDir(root / "snapshot", webdis::fuzz::FuzzSnapshot);
   const int html = ReplayDir(root / "html", webdis::fuzz::FuzzHtml);
-  if (wire < 0 || wal < 0 || snapshot < 0 || html < 0) return 1;
-  if (wire + wal + snapshot + html == 0) {
+  const int url = ReplayDir(root / "url", webdis::fuzz::FuzzUrl);
+  if (wire < 0 || wal < 0 || snapshot < 0 || html < 0 || url < 0) return 1;
+  if (wire + wal + snapshot + html + url == 0) {
     std::fprintf(stderr, "fuzz_replay: empty corpus at %s\n", argv[1]);
     return 1;  // a vanished corpus must not read as a green run
   }
   std::printf(
-      "fuzz_replay: %d wire, %d wal, %d snapshot, %d html inputs replayed\n",
-      wire, wal, snapshot, html);
+      "fuzz_replay: %d wire, %d wal, %d snapshot, %d html, %d url inputs "
+      "replayed\n",
+      wire, wal, snapshot, html, url);
   return 0;
 }

@@ -4,10 +4,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string_view>
 #include <vector>
 
 #include "disql/compiler.h"
 #include "html/parser.h"
+#include "html/url.h"
 #include "net/transport.h"
 #include "query/report.h"
 #include "query/web_query.h"
@@ -250,6 +253,31 @@ int FuzzHtml(const uint8_t* data, size_t size) {
   return 0;
 }
 
+namespace {
+
+void CheckResourceKeyFixpoint(const Result<html::Url>& url) {
+  if (!url.ok()) return;  // rejected input: fine
+  const std::string key = url->ResourceKey();
+  const Result<html::Url> again = html::ParseUrl(key);
+  Check(again.ok(), "ParseUrl(ResourceKey(u)) must parse");
+  Check(again->scheme == url->scheme && again->host == url->host &&
+            again->path == url->path && again->fragment.empty(),
+        "ParseUrl(ResourceKey(u)) must keep scheme, host and path");
+  Check(again->ResourceKey() == key,
+        "ParseUrl(ResourceKey(u)) must be a fixpoint");
+}
+
+}  // namespace
+
+int FuzzUrl(const uint8_t* data, size_t size) {
+  static const html::Url kBase =
+      html::ParseUrl("http://fuzz.example/dir/page").value();
+  const std::string_view text(reinterpret_cast<const char*>(data), size);
+  CheckResourceKeyFixpoint(html::ParseUrl(text));
+  CheckResourceKeyFixpoint(html::ResolveUrl(kBase, text));
+  return 0;
+}
+
 // -- Seed + regression corpus ------------------------------------------------
 
 namespace {
@@ -303,7 +331,7 @@ std::vector<uint8_t> FrameSnapshotBody(const std::vector<uint8_t>& body) {
 int WriteSeedCorpus(const std::string& root) {
   namespace fs = std::filesystem;
   std::error_code ec;
-  for (const char* sub : {"wire", "wal", "snapshot", "html"}) {
+  for (const char* sub : {"wire", "wal", "snapshot", "html", "url"}) {
     fs::create_directories(fs::path(root) / sub, ec);
     if (ec) return -1;
   }
@@ -323,6 +351,9 @@ int WriteSeedCorpus(const std::string& root) {
   };
   auto put_page = [&](const std::string& name, std::string_view page) {
     put("html", name.c_str(), std::vector<uint8_t>(page.begin(), page.end()));
+  };
+  auto put_url = [&](const std::string& name, std::string_view url) {
+    put("url", name.c_str(), std::vector<uint8_t>(url.begin(), url.end()));
   };
   auto frame = [](net::MessageType type, const std::vector<uint8_t>& payload) {
     return serialize::EncodeFrame(static_cast<uint8_t>(type), payload);
@@ -600,6 +631,41 @@ int WriteSeedCorpus(const std::string& root) {
     for (size_t i = 0; i < edge_cases.size(); ++i) {
       put_page("edge-" + std::to_string(i) + ".html", edge_cases[i]);
     }
+  }
+
+  // --- url seeds: generated node URLs, href shapes, regressions ---
+  {
+    for (int site = 0; site < 3; ++site) {
+      for (int doc = 0; doc < 2; ++doc) {
+        put_url("seed-synth-" + std::to_string(site) + "-" +
+                    std::to_string(doc) + ".txt",
+                web::SynthUrl(site, doc));
+      }
+    }
+    web::UniversityOptions uni_options;
+    uni_options.departments = 1;
+    uni_options.labs_per_department = 1;
+    uni_options.filler_pages_per_department = 1;
+    const web::UniversityWeb uni = web::GenerateUniversityWeb(uni_options);
+    const std::vector<std::string> uni_urls = uni.web.AllUrls();
+    for (size_t i = 0; i < uni_urls.size(); ++i) {
+      put_url("seed-univ-" + std::to_string(i) + ".txt", uni_urls[i]);
+    }
+    const char* hrefs[] = {
+        "#sec",           "sibling.html",      "../up/../x.html#frag",
+        "/root/./a//b/",  "example.com/page",  "http://h/a/b/../c/./d",
+        "mailto:someone", "ftp://files.example/pub/",
+    };
+    for (size_t i = 0; i < std::size(hrefs); ++i) {
+      put_url("seed-href-" + std::to_string(i) + ".txt", hrefs[i]);
+    }
+    // A path once ended in space — before a fragment, or once a "." segment
+    // was dropped — giving a resource key that parsed back to another node
+    // (ParseUrl trims the whole URL).
+    put_url("regress-space-before-fragment.txt", "http://a/b \t#frag");
+    put_url("regress-href-space-before-fragment.txt", "b.html #sec");
+    put_url("regress-space-before-dot-segment.txt", "http://a/b /.");
+    put_url("regress-dot-segment-behind-space.txt", "http://a/b/.\r#");
   }
   return written;
 }

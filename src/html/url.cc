@@ -58,10 +58,14 @@ std::string Url::ResourceKey() const {
 
 namespace {
 
-/// Collapses "." and ".." segments; keeps the path absolute.
+/// Collapses "." and ".." segments; keeps the path absolute. Trailing space
+/// is no part of a segment: ParseUrl trims a whole URL, so a path ending in
+/// space (before a '#', or once a "." or ".." segment is dropped) would give
+/// a resource key that parses back to another node.
 std::string NormalizePath(std::string_view path) {
   std::vector<std::string> stack;
-  for (const std::string& seg : Split(path, '/')) {
+  for (std::string seg : Split(path, '/')) {
+    while (!seg.empty() && IsAsciiSpace(seg.back())) seg.pop_back();
     if (seg.empty() || seg == ".") continue;
     if (seg == "..") {
       if (!stack.empty()) stack.pop_back();

@@ -72,6 +72,23 @@ void PrintTo(const ResolveCase& c, std::ostream* os) {
   *os << c.base << " + " << c.href;
 }
 
+// The resource key a URL is stored under must parse back to the same node:
+// ParseUrl trims a whole URL, so no path may end in space (fuzz_url).
+TEST(UrlTest, PathNeverEndsInSpace) {
+  EXPECT_EQ(ParseUrl("http://a/b \t#frag")->path, "/b");
+  EXPECT_EQ(ParseUrl("http://a/b /.")->path, "/b");
+  EXPECT_EQ(ParseUrl("http://a/b/.\r#")->path, "/b");
+  EXPECT_EQ(ParseUrl("http://a/b /c")->path, "/b/c");
+  EXPECT_EQ(ParseUrl("http://a/ b/")->path, "/ b/");
+  const Url base = ParseUrl("http://a/dir/page").value();
+  EXPECT_EQ(ResolveUrl(base, "b.html #sec")->ResourceKey(),
+            "http://a/dir/b.html");
+  for (const char* text : {"http://a/b \t#frag", "http://a/b /.", "x://h /#"}) {
+    const std::string key = ParseUrl(text)->ResourceKey();
+    EXPECT_EQ(ParseUrl(key)->ResourceKey(), key) << text;
+  }
+}
+
 class ResolveUrlTest : public ::testing::TestWithParam<ResolveCase> {};
 
 TEST_P(ResolveUrlTest, Resolves) {
