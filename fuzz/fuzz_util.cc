@@ -653,7 +653,7 @@ int WriteSeedCorpus(const std::string& root) {
     }
     const char* hrefs[] = {
         "#sec",           "sibling.html",      "../up/../x.html#frag",
-        "/root/./a//b/",  "example.com/page",  "http://h/a/b/../c/./d",
+        "/top/./a//b/",   "example.com/page",  "http://h/a/b/../c/./d",
         "mailto:someone", "ftp://files.example/pub/",
     };
     for (size_t i = 0; i < std::size(hrefs); ++i) {

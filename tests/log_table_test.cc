@@ -41,7 +41,7 @@ std::string DecisionText(const pre::LogDecision& d) {
   return out;
 }
 
-/// Both tables under one driver; every call asserts agreement.
+/// Both tables side by side; every call asserts agreement.
 class Pair {
  public:
   void Check(const std::string& node, const std::string& query,
