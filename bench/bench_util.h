@@ -107,8 +107,8 @@ inline uint64_t PeakRssBytes() { return ProcStatusBytes("VmHWM:"); }
 
 /// Machine-readable benchmark output: one JSON object per line, written next
 /// to the human table so tools/bench_compare.py can gate CI on wall-clock
-/// regressions. Fixed schema — bench_compare keys rows on
-/// (workload, workers) and compares wall_ms.
+/// regressions. Fixed schema — bench_compare keys rows on workload and
+/// compares wall_ms.
 class JsonBenchWriter {
  public:
   explicit JsonBenchWriter(const std::string& path)
@@ -125,15 +125,15 @@ class JsonBenchWriter {
 
   /// `extra` is raw JSON appended to the row after the fixed fields, e.g.
   /// ", \"cache_hit_rate\": 0.42" — empty for the plain schema.
-  void Record(const std::string& workload, size_t workers, double wall_ms,
-              double virtual_ms, uint64_t messages, uint64_t bytes,
+  void Record(const std::string& workload, double wall_ms, double virtual_ms,
+              uint64_t messages, uint64_t bytes,
               const std::string& extra = "") {
     if (file_ == nullptr) return;
     std::fprintf(
         file_,
-        "{\"workload\": \"%s\", \"workers\": %zu, \"wall_ms\": %.3f, "
+        "{\"workload\": \"%s\", \"wall_ms\": %.3f, "
         "\"virtual_ms\": %.3f, \"messages\": %llu, \"bytes\": %llu%s}\n",
-        workload.c_str(), workers, wall_ms, virtual_ms,
+        workload.c_str(), wall_ms, virtual_ms,
         static_cast<unsigned long long>(messages),
         static_cast<unsigned long long>(bytes), extra.c_str());
     std::fflush(file_);

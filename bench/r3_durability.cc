@@ -169,10 +169,9 @@ int Main() {
           bench::Num(sum.wal_appends),
           bench::Num(sum.messages / runs),
       });
-      // Row key for bench_compare: workload carries the mode, "workers"
-      // carries the crash rate (the schema's integer slot).
-      json.Record(std::string("r3_") + ModeName(mode),
-                  static_cast<size_t>(pct), sum.wall_ms,
+      json.Record(std::string("r3_") + ModeName(mode) + "_crash" +
+                      std::to_string(pct),
+                  sum.wall_ms,
                   static_cast<double>(sum.total_response / runs) / 1000.0,
                   sum.messages, sum.bytes);
     }

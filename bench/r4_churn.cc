@@ -175,9 +175,7 @@ int Main() {
         bench::Num(sum.retired_nacks),
         bench::Num(sum.messages / runs),
     });
-    // Row key for bench_compare: "workers" carries the mutation rate (the
-    // schema's integer slot), as r3 does with the crash rate.
-    json.Record("r4_churn", static_cast<size_t>(rate), sum.wall_ms,
+    json.Record("r4_churn_rate" + std::to_string(rate), sum.wall_ms,
                 static_cast<double>(sum.total_response / runs) / 1000.0,
                 sum.messages, sum.bytes);
   }

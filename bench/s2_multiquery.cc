@@ -133,11 +133,10 @@ int Main() {
         hit_pct,
         plain.all_complete && shared.all_complete ? "yes" : "NO",
     });
-    json.Record("s2_multiquery_q" + std::to_string(q), 0, plain.wall_ms,
+    json.Record("s2_multiquery_q" + std::to_string(q), plain.wall_ms,
                 static_cast<double>(plain.makespan) / 1000.0, plain.messages,
                 plain.bytes);
-    json.Record("s2_multiquery_shared_q" + std::to_string(q), 0,
-                shared.wall_ms,
+    json.Record("s2_multiquery_shared_q" + std::to_string(q), shared.wall_ms,
                 static_cast<double>(shared.makespan) / 1000.0,
                 shared.messages, shared.bytes, HitRateJson(shared));
   }

@@ -276,13 +276,6 @@ class UserSite {
   void ScheduleSweep(QueryRun* run);
   void CancelSweep(QueryRun* run);
 
-  // Endpoint confinement (DESIGN.md "Parallel execution"): all of the user
-  // site's listeners — every per-query result socket — live on the single
-  // client host, so the parallel stepper keeps them in one slice partition
-  // and their handlers (and timer callbacks) run sequentially even at
-  // worker_threads > 1. Fields below are confined to that partition; the
-  // tools/webdis_lint.py confinement rule requires any new mutable field to
-  // be WEBDIS_GUARDED_BY a mutex or audited into its allowlist.
   std::string host_;
   net::Transport* transport_;
   UserSiteOptions options_;

@@ -43,7 +43,7 @@ class StringInterner {
 
   /// Arena + index footprint in bytes (chunk storage, id table, and an
   /// estimate of the lookup-map nodes) — the denominator-side input to the
-  /// bytes-per-document accounting in bench/p1_parallel.
+  /// bytes-per-document accounting in bench/p1_web_scale.
   size_t ApproxBytes() const;
 
  private:

@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/strings.h"
-#include "common/thread_annotations.h"
 #include "html/url.h"
 
 namespace webdis::core {
@@ -92,22 +91,6 @@ std::string FormatRunStats(const RunOutcome& outcome) {
   out += "servers:\n";
   AppendCounterText(server::kQueryServerCounters, outcome.server_stats, "  ",
                     &out);
-  if (outcome.workers > 0) {
-    // Cumulative over the network's lifetime, not per query: occupancy is a
-    // property of how the whole run's slices partitioned.
-    out += StringPrintf(
-        "parallel: workers=%zu slices=%llu parallel_slices=%llu "
-        "max_partitions=%llu occupancy=%.1f%% coalesced_batches=%llu "
-        "coalesced_slices=%llu serial_slices=%llu serial_events=%llu\n",
-        outcome.workers, (unsigned long long)outcome.parallel.slices,
-        (unsigned long long)outcome.parallel.parallel_slices,
-        (unsigned long long)outcome.parallel.max_slice_partitions,
-        100.0 * outcome.parallel.Occupancy(),
-        (unsigned long long)outcome.parallel.coalesced_batches,
-        (unsigned long long)outcome.parallel.coalesced_slices,
-        (unsigned long long)outcome.parallel.serial_slices,
-        (unsigned long long)outcome.parallel.serial_events);
-  }
   return out;
 }
 
@@ -197,20 +180,6 @@ server::MemoryPersistBackend* Engine::persist_backend_for(
 }
 
 void Engine::ObserveVisits(server::QueryServer::VisitObserver observer) {
-  if (options_.network.worker_threads > 0 && observer != nullptr) {
-    // The observer is the one deliberately shared sink across all servers
-    // (e.g. the trace collector). Under the parallel stepper, servers on
-    // distinct hosts invoke it concurrently, so serialize it here; within a
-    // time-slice the cross-host observation order is unspecified.
-    auto mu = std::make_shared<webdis::Mutex>();
-    auto inner =
-        std::make_shared<server::QueryServer::VisitObserver>(
-            std::move(observer));
-    observer = [mu, inner](const server::VisitEvent& event) {
-      webdis::MutexLock lock(mu.get());
-      (*inner)(event);
-    };
-  }
   for (auto& [host, qs] : query_servers_) {
     qs->SetVisitObserver(observer);
   }
@@ -220,9 +189,6 @@ void Engine::InstallMutationPlan(web::WebGraph* web,
                                  web::MutationPlan* plan) {
   WEBDIS_CHECK(web == web_)
       << "mutation plan must target the graph the engine was built over";
-  WEBDIS_CHECK(options_.network.worker_threads == 0)
-      << "churn requires the sequential stepper (workers == 0): mutations "
-         "touch shared WebGraph state outside endpoint confinement";
   mutable_web_ = web;
   mutation_plan_ = plan;
   // Every query submitted from here on pins the then-current epoch (§10.1).
@@ -372,8 +338,6 @@ RunOutcome Engine::CollectOutcome(const query::QueryId& id,
   outcome.client_retry = user_site_->retry_stats();
   outcome.server_stats = AggregateServerStats();
   outcome.traffic = Subtract(TrafficSnapshot(), baseline_traffic);
-  outcome.workers = options_.network.worker_threads;
-  outcome.parallel = network_->parallel_stats();
   return outcome;
 }
 

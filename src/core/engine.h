@@ -135,10 +135,6 @@ struct RunOutcome {
   /// Client-side at-least-once delivery counters (initial dispatch).
   net::RetryStats client_retry;
   TrafficSummary traffic;
-  /// Stepper configuration and concurrency counters (workers == 0 means the
-  /// run used the legacy single-threaded event loop).
-  size_t workers = 0;
-  net::ParallelStats parallel;
 
   /// Total rows across all result sets.
   size_t TotalRows() const;
@@ -149,8 +145,7 @@ std::string FormatResults(const std::vector<relational::ResultSet>& results);
 
 /// Renders one run's outcome flags, then every non-zero client and
 /// aggregated server counter as `name: value` lines in list order (zero
-/// counters omitted), and for a parallel run the stepper's `parallel:` line.
-/// The observability companion to the partial-outcome flags.
+/// counters omitted). The observability companion to the partial-outcome flags.
 std::string FormatRunStats(const RunOutcome& outcome);
 
 /// A complete single-process WEBDIS deployment over the simulated network:
@@ -200,9 +195,7 @@ class Engine {
   /// so every subsequent Submit pins the then-current epoch.
   ///
   /// `web` must be the same graph the engine was constructed over (the
-  /// const view the servers read through). Requires worker_threads == 0:
-  /// mutations touch shared WebGraph state outside the parallel stepper's
-  /// endpoint confinement. `plan` must outlive the engine.
+  /// const view the servers read through). `plan` must outlive the engine.
   void InstallMutationPlan(web::WebGraph* web, web::MutationPlan* plan);
 
   /// Hosts spawned / retired by the installed mutation plan so far.

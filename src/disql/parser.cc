@@ -3,6 +3,7 @@
 #include "common/strings.h"
 #include "disql/ast.h"
 #include "disql/lexer.h"
+#include "serialize/encoder.h"
 
 namespace webdis::disql {
 
@@ -19,7 +20,10 @@ bool IsLinkSymbolIdent(const Token& t) {
           t.text[0] == 'N');
 }
 
-/// Recursive-descent DISQL parser over the token stream.
+/// Recursive-descent DISQL parser over the token stream. Every PRE and
+/// expression node built is checked with CheckEncodable, and parentheses
+/// and `not` nest at most serialize::kMaxTreeDepth deep, so neither the
+/// recursion here nor any later walk of the result can run out of stack.
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
@@ -81,6 +85,27 @@ class Parser {
     if (text_out != nullptr) *text_out = Peek().text;
     Advance();
     return Status::OK();
+  }
+
+  /// Enters one level of parentheses or `not`; InvalidArgument past the
+  /// limit. Leave() undoes it on the way out.
+  Status Enter() {
+    if (++nesting_ > serialize::kMaxTreeDepth) {
+      return Status::InvalidArgument(StringPrintf(
+          "nested deeper than %d levels (near offset %zu)",
+          serialize::kMaxTreeDepth, Peek().offset));
+    }
+    return Status::OK();
+  }
+  void Leave() { --nesting_; }
+
+  static Result<pre::Pre> Checked(pre::Pre pre) {
+    WEBDIS_RETURN_IF_ERROR(pre.CheckEncodable());
+    return pre;
+  }
+  static Result<ExprPtr> Checked(ExprPtr expr) {
+    WEBDIS_RETURN_IF_ERROR(expr->CheckEncodable());
+    return expr;
   }
 
   void SkipOptionalComma() {
@@ -178,7 +203,7 @@ class Parser {
       WEBDIS_ASSIGN_OR_RETURN(next, ParsePreConcat());
       parts.push_back(std::move(next));
     }
-    return pre::Pre::AltAll(parts);
+    return Checked(pre::Pre::AltAll(parts));
   }
 
   Result<pre::Pre> ParsePreConcat() {
@@ -192,7 +217,7 @@ class Parser {
       WEBDIS_ASSIGN_OR_RETURN(next, ParsePreRepeat());
       parts.push_back(std::move(next));
     }
-    return pre::Pre::ConcatAll(parts);
+    return Checked(pre::Pre::ConcatAll(parts));
   }
 
   Result<pre::Pre> ParsePreRepeat() {
@@ -206,16 +231,19 @@ class Parser {
       } else {
         base = pre::Pre::RepeatUnbounded(base);
       }
+      WEBDIS_RETURN_IF_ERROR(base.CheckEncodable());
     }
     return base;
   }
 
   Result<pre::Pre> ParsePreAtom() {
     if (Peek().kind == TokenKind::kLParen) {
+      WEBDIS_RETURN_IF_ERROR(Enter());
       Advance();
       pre::Pre inner;
       WEBDIS_ASSIGN_OR_RETURN(inner, ParsePreAlt());
       WEBDIS_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
+      Leave();
       return inner;
     }
     if (IsLinkSymbolIdent(Peek())) {
@@ -238,7 +266,8 @@ class Parser {
       Advance();
       ExprPtr rhs;
       WEBDIS_ASSIGN_OR_RETURN(rhs, ParseAnd());
-      lhs = Expr::Or(std::move(lhs), std::move(rhs));
+      WEBDIS_ASSIGN_OR_RETURN(
+          lhs, Checked(Expr::Or(std::move(lhs), std::move(rhs))));
     }
     return lhs;
   }
@@ -250,27 +279,32 @@ class Parser {
       Advance();
       ExprPtr rhs;
       WEBDIS_ASSIGN_OR_RETURN(rhs, ParseNot());
-      lhs = Expr::And(std::move(lhs), std::move(rhs));
+      WEBDIS_ASSIGN_OR_RETURN(
+          lhs, Checked(Expr::And(std::move(lhs), std::move(rhs))));
     }
     return lhs;
   }
 
   Result<ExprPtr> ParseNot() {
     if (Peek().IsKeyword("not")) {
+      WEBDIS_RETURN_IF_ERROR(Enter());
       Advance();
       ExprPtr operand;
       WEBDIS_ASSIGN_OR_RETURN(operand, ParseNot());
-      return Expr::Not(std::move(operand));
+      Leave();
+      return Checked(Expr::Not(std::move(operand)));
     }
     return ParseComparison();
   }
 
   Result<ExprPtr> ParseComparison() {
     if (Peek().kind == TokenKind::kLParen) {
+      WEBDIS_RETURN_IF_ERROR(Enter());
       Advance();
       ExprPtr inner;
       WEBDIS_ASSIGN_OR_RETURN(inner, ParseExpr());
       WEBDIS_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
+      Leave();
       return inner;
     }
     ExprPtr lhs;
@@ -333,6 +367,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int nesting_ = 0;  // open parentheses and `not`s around the cursor
 };
 
 }  // namespace

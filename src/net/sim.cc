@@ -2,7 +2,6 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "net/fault.h"
 #include "serialize/framing.h"
 
@@ -11,12 +10,7 @@ namespace webdis::net {
 SimNetwork::SimNetwork(SimNetworkOptions options)
     : options_(std::move(options)), jitter_rng_(options_.jitter_seed) {}
 
-SimNetwork::~SimNetwork() = default;
-
 Status SimNetwork::Listen(const Endpoint& endpoint, MessageHandler handler) {
-  if (SliceContext* ctx = CurrentSliceContext(this); ctx != nullptr) {
-    return SliceListen(ctx, endpoint, std::move(handler));
-  }
   if (listeners_.contains(endpoint)) {
     return Status::InvalidArgument(StringPrintf(
         "endpoint %s already bound", endpoint.ToString().c_str()));
@@ -26,19 +20,12 @@ Status SimNetwork::Listen(const Endpoint& endpoint, MessageHandler handler) {
 }
 
 void SimNetwork::CloseListener(const Endpoint& endpoint) {
-  if (SliceContext* ctx = CurrentSliceContext(this); ctx != nullptr) {
-    SliceCloseListener(ctx, endpoint);
-    return;
-  }
   listeners_.erase(endpoint);
   busy_until_.erase(endpoint);
 }
 
 Status SimNetwork::Send(const Endpoint& from, const Endpoint& to,
                         MessageType type, std::vector<uint8_t> payload) {
-  if (SliceContext* ctx = CurrentSliceContext(this); ctx != nullptr) {
-    return SliceSend(ctx, from, to, type, std::move(payload));
-  }
   // Connect-time check: no listener means connection refused, which the
   // caller observes synchronously (like a failed TCP connect).
   if (!listeners_.contains(to)) {
@@ -46,12 +33,6 @@ Status SimNetwork::Send(const Endpoint& from, const Endpoint& to,
     return Status::ConnectionRefused(StringPrintf(
         "no listener at %s", to.ToString().c_str()));
   }
-  return SendAccepted(from, to, type, std::move(payload));
-}
-
-Status SimNetwork::SendAccepted(const Endpoint& from, const Endpoint& to,
-                                MessageType type,
-                                std::vector<uint8_t> payload) {
   // Meter the wire cost: payload plus the frame header every transport
   // prepends.
   const uint64_t wire_bytes =
@@ -137,9 +118,6 @@ void SimNetwork::PushEvent(Event event) {
 
 uint64_t SimNetwork::ScheduleAfter(SimDuration delay,
                                    std::function<void()> fn) {
-  if (SliceContext* ctx = CurrentSliceContext(this); ctx != nullptr) {
-    return SliceScheduleAfter(ctx, delay, std::move(fn));
-  }
   Event event;
   event.deliver_at = now_ + delay;
   event.sequence = next_sequence_++;
@@ -152,9 +130,6 @@ uint64_t SimNetwork::ScheduleAfter(SimDuration delay,
 }
 
 bool SimNetwork::CancelTimer(uint64_t id) {
-  if (SliceContext* ctx = CurrentSliceContext(this); ctx != nullptr) {
-    return SliceCancelTimer(ctx, id);
-  }
   // The queued event stays; RunOne skips it when the id is no longer
   // pending.
   return pending_timers_.erase(id) > 0;
@@ -162,24 +137,18 @@ bool SimNetwork::CancelTimer(uint64_t id) {
 
 bool SimNetwork::RunOne() {
   if (events_.empty()) return false;
-  auto it = events_.begin();
-  Event event = std::move(it->second);
-  events_.erase(it);
-  DispatchEventLegacy(std::move(event));
-  return true;
-}
-
-void SimNetwork::DispatchEventLegacy(Event event) {
+  Event event = std::move(events_.begin()->second);
+  events_.erase(events_.begin());
   if (event.timer) {
     if (pending_timers_.erase(event.timer_id) == 0) {
-      return;  // cancelled while queued
+      return true;  // cancelled while queued
     }
     now_ = event.deliver_at;
     ++timers_fired_;
     WEBDIS_CHECK(delivered_ + timers_fired_ <= options_.max_deliveries)
         << "simulated network exceeded max_deliveries — runaway timers?";
     event.timer();
-    return;
+    return true;
   }
   now_ = event.deliver_at;
   ++delivered_;
@@ -190,18 +159,15 @@ void SimNetwork::DispatchEventLegacy(Event event) {
     // Listener closed while the message was in flight: silently dropped,
     // exactly like packets racing a socket close.
     ++dropped_;
-    return;
+    return true;
   }
   // Copy the handler: the handler itself may close/re-register listeners.
   MessageHandler handler = it->second;
   handler(event.from, event.type, event.payload);
+  return true;
 }
 
 void SimNetwork::RunUntilIdle() {
-  if (options_.worker_threads > 0) {
-    RunStepped();
-    return;
-  }
   while (RunOne()) {
   }
 }

@@ -1,10 +1,8 @@
 #ifndef WEBDIS_NET_SIM_H_
 #define WEBDIS_NET_SIM_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -14,10 +12,6 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "net/transport.h"
-
-namespace webdis::common {
-class ThreadPool;
-}  // namespace webdis::common
 
 namespace webdis::net {
 
@@ -50,66 +44,6 @@ struct SimNetworkOptions {
   using ServiceTimeModel = std::function<SimDuration(
       const Endpoint& to, MessageType type, size_t wire_bytes)>;
   ServiceTimeModel service_time;
-
-  /// Deterministic parallel stepper (DESIGN.md "Parallel execution").
-  /// 0 = the classic single-threaded event loop. N >= 1 = time-stepped
-  /// execution with N concurrent executors (N-1 pool threads plus the
-  /// driving thread): each time-slice — all queued events sharing the
-  /// minimum virtual timestamp — is partitioned by destination host, the
-  /// partitions' handlers run concurrently with all outbound Send /
-  /// ScheduleAfter / Listen effects buffered per worker, and the buffers
-  /// are replayed into the event queue in original (time, sequence) order.
-  /// Any N >= 1 therefore produces bit-identical results, traffic stats and
-  /// delivery order; N = 1 is the sequential reference for that guarantee.
-  size_t worker_threads = 0;
-
-  /// Parallelism floors for the stepper: a slice with fewer distinct
-  /// destination partitions or fewer events than these runs through the
-  /// legacy serial dispatch instead — forking the pool and buffering ops
-  /// for one or two events costs more than it saves. Results are identical
-  /// either way (the legacy loop and the stepper are equivalent); only the
-  /// execution strategy changes.
-  size_t min_parallel_partitions = 2;
-  size_t min_parallel_events = 2;
-
-  /// Adaptive slice coalescing (DESIGN.md "Parallel execution"): after a
-  /// slice runs, the stepper keeps extending the same batch with the next
-  /// queued slice as long as no buffered effect could land before it (and
-  /// no listener mutation or timer cancellation is pending), deferring the
-  /// replay/commit to the batch boundary. Off = commit after every slice
-  /// (the pre-coalescing behaviour, kept as the equivalence reference).
-  bool coalesce_slices = true;
-  /// Cap on slices merged into one batch (bounds buffered-op memory).
-  size_t max_coalesce_slices = 64;
-};
-
-/// Counters describing how much concurrency the time-stepped stepper
-/// actually found (all zero when worker_threads == 0).
-struct ParallelStats {
-  uint64_t slices = 0;           // time-slices stepped
-  uint64_t parallel_slices = 0;  // slices with >= 2 host partitions
-  uint64_t events = 0;           // events dispatched by the stepper
-  uint64_t parallel_events = 0;  // events inside parallel slices
-  uint64_t max_slice_events = 0;
-  uint64_t max_slice_partitions = 0;
-  /// Coalescing: batches that merged >= 2 slices into one commit, and the
-  /// total slices they absorbed (coalesced_slices / coalesced_batches is
-  /// the mean merge depth).
-  uint64_t coalesced_batches = 0;
-  uint64_t coalesced_slices = 0;
-  /// Threshold fallback: slices dispatched through the legacy serial loop
-  /// because they were under the min_parallel_* floors (or contained a
-  /// driver-context timer), and the events they carried.
-  uint64_t serial_slices = 0;
-  uint64_t serial_events = 0;
-
-  /// Fraction of events that ran inside a parallel slice — how much of the
-  /// workload was eligible for multi-core execution.
-  double Occupancy() const {
-    return events == 0 ? 0.0
-                       : static_cast<double>(parallel_events) /
-                             static_cast<double>(events);
-  }
 };
 
 /// Traffic counters, overall and per message type.
@@ -134,7 +68,6 @@ struct TrafficStats {
 class SimNetwork : public Transport {
  public:
   explicit SimNetwork(SimNetworkOptions options = SimNetworkOptions());
-  ~SimNetwork() override;
 
   // -- Transport ------------------------------------------------------------
   Status Listen(const Endpoint& endpoint, MessageHandler handler) override;
@@ -197,8 +130,6 @@ class SimNetwork : public Transport {
   uint64_t connection_refused_count() const { return refused_; }
   uint64_t dropped_count() const { return dropped_; }
   uint64_t delivered_count() const { return delivered_; }
-  /// Stepper concurrency counters (zeros under the legacy event loop).
-  const ParallelStats& parallel_stats() const { return parallel_stats_; }
 
   void ResetMetrics();
 
@@ -214,74 +145,19 @@ class SimNetwork : public Transport {
     // callback rather than a message delivery.
     std::function<void()> timer;
     uint64_t timer_id = 0;
-    // Stepper partition the timer fires on: the host whose handler armed
-    // it, or "" for driver-context timers, whose slices run serially.
-    // Message deliveries partition by `to.host` instead.
-    std::string affinity;
   };
   /// The event queue, ordered by (deliver_at, sequence). An ordered map
-  /// rather than a priority queue: the coalescing stepper needs to peek at
-  /// the *next* slice's time and contents without committing to popping it,
-  /// and to extract events without the const-top copy a priority_queue
-  /// forces.
+  /// rather than a priority queue: RunOne moves the earliest event out of
+  /// its node, where priority_queue::top() is const and forces a copy of
+  /// the payload and handler.
   using EventQueue = std::map<std::pair<SimTime, uint64_t>, Event>;
 
-  // -- Parallel stepper internals (parallel_sim.cc) -------------------------
-  // During a time-slice, worker threads divert every Transport call into
-  // their partition's SliceContext (buffered ops + listener overlay); the
-  // driving thread replays the buffers in (sequence, issue-index) order
-  // after the slice barrier, which reproduces the sequential evolution of
-  // the jitter RNG, per-endpoint serial queues, sequence numbers and
-  // traffic meters bit for bit.
-  struct SliceContext;
-  struct BatchState;
-  static SliceContext*& ThreadSliceContext();
-  /// The calling thread's slice context, iff it belongs to `net` (a handler
-  /// may legitimately drive a second, independent SimNetwork — that one
-  /// keeps legacy semantics).
-  static SliceContext* CurrentSliceContext(const SimNetwork* net);
-  Status SliceSend(SliceContext* ctx, const Endpoint& from, const Endpoint& to,
-                   MessageType type, std::vector<uint8_t> payload);
-  Status SliceListen(SliceContext* ctx, const Endpoint& endpoint,
-                     MessageHandler handler);
-  void SliceCloseListener(SliceContext* ctx, const Endpoint& endpoint);
-  uint64_t SliceScheduleAfter(SliceContext* ctx, SimDuration delay,
-                              std::function<void()> fn);
-  bool SliceCancelTimer(SliceContext* ctx, uint64_t id);
-  void DispatchSlice(SliceContext* ctx);
-  void RunStepped();
-  /// One stepper iteration: pops the earliest slice, dispatches it (legacy
-  /// path if under the parallelism floors or driver-bound), and — when
-  /// coalescing is on — keeps absorbing subsequent non-interacting slices
-  /// into the same batch before a single commit.
-  void StepBatch();
-  /// Extracts every queued event at the minimum timestamp; stores it in
-  /// `*t_out`.
-  std::vector<Event> PopSlice(SimTime* t_out);
-  /// Runs one already-popped slice inside `batch`: advances the clock,
-  /// assigns events to (new or existing) partitions, and fork/joins the
-  /// active ones.
-  void RunBatchSlice(BatchState* batch, std::vector<Event> slice, SimTime t);
-  /// True if the next queued slice may join `batch` without changing
-  /// observable behaviour (the non-interaction rule, DESIGN.md §8).
-  bool CanExtendBatch(const BatchState& batch) const;
-  /// The batch barrier: merges counters, retires fired timers, and replays
-  /// all buffered ops in (issue-time, sequence, issue-index) order.
-  void CommitBatch(BatchState* batch);
-  /// The body of RunOne after the pop: legacy inline dispatch. Used by the
-  /// event loop and by stepper slices containing driver-context timers.
-  void DispatchEventLegacy(Event event);
   /// Queues an event keyed by (deliver_at, sequence).
   void PushEvent(Event event);
 
   void EnqueueDelivery(const Endpoint& from, const Endpoint& to,
                        MessageType type, std::vector<uint8_t> payload,
                        SimDuration extra_delay, uint64_t wire_bytes);
-  /// The tail of Send after the synchronous refusal check (metering, fault
-  /// decisions, enqueue). Slice replay calls this directly: workers already
-  /// resolved refusal against their slice view.
-  Status SendAccepted(const Endpoint& from, const Endpoint& to,
-                      MessageType type, std::vector<uint8_t> payload);
 
   SimNetworkOptions options_;
   Rng jitter_rng_;
@@ -291,10 +167,7 @@ class SimNetwork : public Transport {
   uint64_t refused_ = 0;
   uint64_t dropped_ = 0;
   uint64_t timers_fired_ = 0;
-  /// Atomic: timer ids are handed out from worker threads during a slice.
-  /// Their *values* may differ between worker counts; they are opaque
-  /// handles and never observable in results or stats.
-  std::atomic<uint64_t> next_timer_id_ = 1;
+  uint64_t next_timer_id_ = 1;
   std::set<uint64_t> pending_timers_;
   EventQueue events_;
   std::map<Endpoint, MessageHandler> listeners_;
@@ -305,8 +178,6 @@ class SimNetwork : public Transport {
   TrafficStats total_;
   TrafficStats inter_host_;
   std::map<MessageType, TrafficStats> by_type_;
-  ParallelStats parallel_stats_;
-  std::unique_ptr<common::ThreadPool> pool_;  // created on first stepped run
 };
 
 }  // namespace webdis::net

@@ -427,11 +427,29 @@ void Pre::EncodeTo(serialize::Encoder* enc) const {
   }
 }
 
+Status Pre::CheckEncodable() const { return CheckEncodableAt(0); }
+
+Status Pre::CheckEncodableAt(int depth) const {
+  if (depth > serialize::kMaxTreeDepth) {
+    return Status::InvalidArgument(StringPrintf(
+        "PRE nested deeper than %d levels", serialize::kMaxTreeDepth));
+  }
+  if (node_ == nullptr) return Status::OK();
+  if (node_->children.size() > kMaxOperands) {
+    return Status::InvalidArgument(
+        StringPrintf("PRE operator with more than %llu operands",
+                     static_cast<unsigned long long>(kMaxOperands)));
+  }
+  for (const NodeRef& child : node_->children) {
+    WEBDIS_RETURN_IF_ERROR(Pre(child).CheckEncodableAt(depth + 1));
+  }
+  return Status::OK();
+}
+
 namespace {
 
 Result<Pre> DecodePre(serialize::Decoder* dec, int depth) {
-  constexpr int kMaxDepth = 64;
-  if (depth > kMaxDepth) {
+  if (depth > serialize::kMaxTreeDepth) {
     return Status::Corruption("PRE tree too deep");
   }
   uint8_t tag = 0;
@@ -453,7 +471,8 @@ Result<Pre> DecodePre(serialize::Decoder* dec, int depth) {
     case PreKind::kAlt: {
       uint64_t count = 0;
       WEBDIS_RETURN_IF_ERROR(
-          dec->GetCount("PRE operand", 1024, /*min_bytes_per_item=*/1,
+          dec->GetCount("PRE operand", Pre::kMaxOperands,
+                        /*min_bytes_per_item=*/1,
                         &count));
       std::vector<Pre> parts;
       parts.reserve(count);

@@ -68,8 +68,20 @@ class Pre {
   static Pre RepeatUnbounded(const Pre& a);
 
   /// Parses PRE syntax: `N | G·(L*4)`, `G.(G|L)`, `L*`, ... Both the paper's
-  /// `·` (U+00B7) and ASCII `.` are accepted as concatenation.
+  /// `·` (U+00B7) and ASCII `.` are accepted as concatenation. Input that
+  /// nests parentheses deeper than serialize::kMaxTreeDepth, or builds a
+  /// PRE that fails CheckEncodable, is InvalidArgument.
   static Result<Pre> Parse(std::string_view text);
+
+  /// The most operands one concatenation or alternation may have on the
+  /// wire.
+  static constexpr uint64_t kMaxOperands = 1024;
+
+  /// InvalidArgument unless DecodeFrom accepts this PRE's encoding: no node
+  /// more than serialize::kMaxTreeDepth levels below the root and no
+  /// concatenation or alternation of more than kMaxOperands operands. The
+  /// parsers check each node as they build it, so no parsed tree is deeper.
+  Status CheckEncodable() const;
 
   // -- Inspection ----------------------------------------------------------
   PreKind kind() const;
@@ -134,6 +146,9 @@ class Pre {
   using NodeRef = std::shared_ptr<const Node>;
 
   explicit Pre(NodeRef node);
+
+  /// CheckEncodable for a node `depth` levels below the root.
+  Status CheckEncodableAt(int depth) const;
 
   NodeRef node_;
 };

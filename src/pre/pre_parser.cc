@@ -2,6 +2,7 @@
 
 #include "common/strings.h"
 #include "pre/pre.h"
+#include "serialize/encoder.h"
 
 namespace webdis::pre {
 
@@ -15,6 +16,9 @@ namespace {
 ///   atom   := 'I' | 'L' | 'G' | 'N' | '(' alt ')'
 ///
 /// '·' is the paper's middle-dot (UTF-8 C2 B7); ASCII '.' is accepted too.
+/// Every node built is checked with Pre::CheckEncodable, and parentheses
+/// nest at most serialize::kMaxTreeDepth deep, so neither the recursion
+/// here nor any later walk of the result can run out of stack.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -72,7 +76,7 @@ class Parser {
       WEBDIS_ASSIGN_OR_RETURN(next, ParseConcat());
       parts.push_back(std::move(next));
     }
-    return Pre::AltAll(parts);
+    return Checked(Pre::AltAll(parts));
   }
 
   Result<Pre> ParseConcat() {
@@ -85,7 +89,7 @@ class Parser {
       WEBDIS_ASSIGN_OR_RETURN(next, ParseRepeat());
       parts.push_back(std::move(next));
     }
-    return Pre::ConcatAll(parts);
+    return Checked(Pre::ConcatAll(parts));
   }
 
   Result<Pre> ParseRepeat() {
@@ -113,6 +117,7 @@ class Parser {
       } else {
         base = Pre::RepeatUnbounded(base);
       }
+      WEBDIS_RETURN_IF_ERROR(base.CheckEncodable());
     }
     return base;
   }
@@ -124,6 +129,11 @@ class Parser {
     }
     const char c = text_[pos_];
     if (c == '(') {
+      if (++paren_depth_ > serialize::kMaxTreeDepth) {
+        return Status::InvalidArgument(StringPrintf(
+            "PRE parentheses nested deeper than %d at offset %zu",
+            serialize::kMaxTreeDepth, pos_));
+      }
       ++pos_;
       Pre inner;
       WEBDIS_ASSIGN_OR_RETURN(inner, ParseAlt());
@@ -132,6 +142,7 @@ class Parser {
         return Error("expected ')'");
       }
       ++pos_;
+      --paren_depth_;
       return inner;
     }
     auto link = html::LinkTypeFromSymbol(c);
@@ -142,8 +153,14 @@ class Parser {
     return Pre::Link(link.value());
   }
 
+  static Result<Pre> Checked(Pre pre) {
+    WEBDIS_RETURN_IF_ERROR(pre.CheckEncodable());
+    return pre;
+  }
+
   std::string_view text_;
   size_t pos_ = 0;
+  int paren_depth_ = 0;
 };
 
 }  // namespace

@@ -296,9 +296,24 @@ Result<ExprPtr> Expr::DecodeFrom(serialize::Decoder* dec) {
   return DecodeRecursive(dec, 0);
 }
 
+Status Expr::CheckEncodable() const { return CheckEncodableAt(0); }
+
+Status Expr::CheckEncodableAt(int depth) const {
+  if (depth > serialize::kMaxTreeDepth) {
+    return Status::InvalidArgument(StringPrintf(
+        "expression nested deeper than %d levels", serialize::kMaxTreeDepth));
+  }
+  if (left_ != nullptr) {
+    WEBDIS_RETURN_IF_ERROR(left_->CheckEncodableAt(depth + 1));
+  }
+  if (right_ != nullptr) {
+    WEBDIS_RETURN_IF_ERROR(right_->CheckEncodableAt(depth + 1));
+  }
+  return Status::OK();
+}
+
 Result<ExprPtr> Expr::DecodeRecursive(serialize::Decoder* dec, int depth) {
-  constexpr int kMaxDepth = 64;
-  if (depth > kMaxDepth) {
+  if (depth > serialize::kMaxTreeDepth) {
     return Status::Corruption("expression tree too deep");
   }
   uint8_t tag = 0;

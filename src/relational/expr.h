@@ -118,6 +118,10 @@ class Expr {
   void EncodeTo(serialize::Encoder* enc) const;
   /// Depth-limited recursive decode; fails on corrupt or over-deep input.
   static Result<ExprPtr> DecodeFrom(serialize::Decoder* dec);
+  /// InvalidArgument unless DecodeFrom accepts this tree's encoding: no node
+  /// more than serialize::kMaxTreeDepth levels below the root. The DISQL
+  /// parser checks each node as it builds it.
+  Status CheckEncodable() const;
 
  private:
   explicit Expr(ExprKind kind) : kind_(kind) {}
@@ -127,6 +131,8 @@ class Expr {
   static ExprPtr Make(ExprKind kind);
 
   static Result<ExprPtr> DecodeRecursive(serialize::Decoder* dec, int depth);
+  /// CheckEncodable for a node `depth` levels below the root.
+  Status CheckEncodableAt(int depth) const;
 
   ExprKind kind_;
   Value literal_;

@@ -10,6 +10,12 @@
 
 namespace webdis::serialize {
 
+/// The deepest PRE or expression tree a decoder accepts: a node more than
+/// this many levels below the root is Corruption. The PRE and DISQL parsers
+/// reject deeper input with InvalidArgument, so whatever they accept can
+/// cross the wire, and no recursion over a parsed tree runs deeper.
+inline constexpr int kMaxTreeDepth = 64;
+
 /// Append-only binary encoder. WEBDIS ships query clones, CHT reports and
 /// result batches between sites; the paper relied on Java object
 /// serialization, which we replace with this explicit little-endian format:

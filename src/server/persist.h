@@ -212,9 +212,7 @@ Status DecodeSnapshot(const std::vector<uint8_t>& bytes,
 // -- Storage backends --------------------------------------------------------
 
 /// Storage abstraction the server persists through. One backend instance
-/// belongs to one server and, like the server's other state, is only
-/// touched from that server's handlers (endpoint confinement) — backends
-/// need no locking.
+/// belongs to one server and is touched only from that server's handlers.
 class PersistBackend {
  public:
   virtual ~PersistBackend() = default;

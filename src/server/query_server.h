@@ -491,14 +491,6 @@ class QueryServer {
   void SendAck(const net::Endpoint& parent, uint64_t token);
   void OnAck(uint64_t token);
 
-  // Endpoint confinement (DESIGN.md "Parallel execution"): the parallel
-  // stepper may run this server's handlers concurrently with OTHER hosts'
-  // handlers, but never with each other — all deliveries to one host share
-  // a slice partition and run sequentially. Every field below is therefore
-  // either construction-time constant or touched only from this server's
-  // own OnMessage/timer callbacks, and needs no locking. The invariant is
-  // enforced by tools/webdis_lint.py (confinement rule): a new mutable
-  // field must be WEBDIS_GUARDED_BY a mutex or audited into its allowlist.
   std::string host_;
   const web::WebGraph* web_;
   net::Transport* transport_;

@@ -20,56 +20,6 @@ void SetBody(WebGraph::Document* doc, std::string html) {
 
 }  // namespace
 
-WebGraph::~WebGraph() {
-  for (DocEntry& entry : entries_) {
-    delete entry.doc.load(std::memory_order_relaxed);
-  }
-}
-
-WebGraph::WebGraph(WebGraph&& other) noexcept
-    : strings_(std::move(other.strings_)),
-      entries_(std::move(other.entries_)),
-      by_key_(std::move(other.by_key_)),
-      host_index_(std::move(other.host_index_)),
-      retired_hosts_(std::move(other.retired_hosts_)),
-      live_count_(other.live_count_),
-      materialized_(other.materialized_.load(std::memory_order_relaxed)),
-      generator_(std::move(other.generator_)),
-      epoch_(other.epoch_),
-      history_enabled_(other.history_enabled_),
-      history_(std::move(other.history_)) {
-  other.entries_.clear();  // moved-from deque is empty, but be explicit
-  other.by_key_.clear();
-  other.host_index_.clear();
-  other.live_count_ = 0;
-  other.materialized_.store(0, std::memory_order_relaxed);
-}
-
-WebGraph& WebGraph::operator=(WebGraph&& other) noexcept {
-  if (this == &other) return *this;
-  for (DocEntry& entry : entries_) {
-    delete entry.doc.load(std::memory_order_relaxed);
-  }
-  strings_ = std::move(other.strings_);
-  entries_ = std::move(other.entries_);
-  by_key_ = std::move(other.by_key_);
-  host_index_ = std::move(other.host_index_);
-  retired_hosts_ = std::move(other.retired_hosts_);
-  live_count_ = other.live_count_;
-  materialized_.store(other.materialized_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-  generator_ = std::move(other.generator_);
-  epoch_ = other.epoch_;
-  history_enabled_ = other.history_enabled_;
-  history_ = std::move(other.history_);
-  other.entries_.clear();
-  other.by_key_.clear();
-  other.host_index_.clear();
-  other.live_count_ = 0;
-  other.materialized_.store(0, std::memory_order_relaxed);
-  return *this;
-}
-
 Result<WebGraph::DocEntry*> WebGraph::AddEntry(std::string_view url,
                                                html::Url* parsed_out) {
   WEBDIS_ASSIGN_OR_RETURN(*parsed_out, html::ParseUrl(url));
@@ -102,8 +52,8 @@ Status WebGraph::AddDocument(std::string_view url, std::string html) {
   if (history_enabled_) {
     history_[{doc->url.ResourceKey(), doc->version}] = doc->raw_html;
   }
-  entry->doc.store(doc.release(), std::memory_order_release);
-  materialized_.fetch_add(1, std::memory_order_relaxed);
+  entry->doc = std::move(doc);
+  ++materialized_;
   return Status::OK();
 }
 
@@ -129,8 +79,7 @@ Status WebGraph::AddLazyDocument(std::string_view url, uint64_t aux0,
 }
 
 WebGraph::Document* WebGraph::Materialize(const DocEntry& entry) const {
-  Document* existing = entry.doc.load(std::memory_order_acquire);
-  if (existing != nullptr) return existing;
+  if (entry.doc != nullptr) return entry.doc.get();
   WEBDIS_CHECK(entry.lazy);
   WEBDIS_CHECK(generator_ != nullptr);
   const std::string_view key = strings_.View(entry.key_id);
@@ -141,19 +90,9 @@ WebGraph::Document* WebGraph::Materialize(const DocEntry& entry) const {
   std::string html = generator_(key, entry.aux0, entry.aux1);
   SetBody(doc.get(), std::move(html));
   doc->born_epoch = entry.born_epoch;
-  // Publish with a compare-exchange: concurrent stepper partitions may race
-  // to materialize the same document, but generation is deterministic, so
-  // both candidates hold identical bytes — the loser just frees its copy.
-  Document* expected = nullptr;
-  Document* fresh = doc.get();
-  if (entry.doc.compare_exchange_strong(expected, fresh,
-                                        std::memory_order_release,
-                                        std::memory_order_acquire)) {
-    doc.release();
-    materialized_.fetch_add(1, std::memory_order_relaxed);
-    return fresh;
-  }
-  return expected;
+  entry.doc = std::move(doc);
+  ++materialized_;
+  return entry.doc.get();
 }
 
 const WebGraph::DocEntry* WebGraph::EntryFor(std::string_view url) const {
@@ -165,10 +104,9 @@ const WebGraph::DocEntry* WebGraph::EntryFor(std::string_view url) const {
 
 void WebGraph::EraseEntry(uint32_t index) {
   DocEntry& entry = entries_[index];
-  Document* doc = entry.doc.exchange(nullptr, std::memory_order_relaxed);
-  if (doc != nullptr) {
-    materialized_.fetch_sub(1, std::memory_order_relaxed);
-    delete doc;
+  if (entry.doc != nullptr) {
+    --materialized_;
+    entry.doc.reset();
   }
   const std::string_view key = strings_.View(entry.key_id);
   const std::string_view host = strings_.View(entry.host_id);
@@ -192,9 +130,7 @@ Status WebGraph::UpdateDocument(std::string_view url, std::string html) {
     return Status::InvalidArgument(
         StringPrintf("no such document '%s'", key.c_str()));
   }
-  const DocEntry& entry = entries_[it->second];
-  Document* doc = entry.doc.load(std::memory_order_acquire);
-  if (doc == nullptr) doc = Materialize(entry);
+  Document* doc = Materialize(entries_[it->second]);
   SetBody(doc, std::move(html));
   ++doc->version;
   if (history_enabled_) {
@@ -248,9 +184,7 @@ void WebGraph::EnableHistory() {
   // Backfill current versions so every live (key, version) pair resolves —
   // materializing lazy documents, since history stores full bodies.
   for (const auto& [key, index] : by_key_) {
-    const DocEntry& entry = entries_[index];
-    Document* doc = entry.doc.load(std::memory_order_acquire);
-    if (doc == nullptr) doc = Materialize(entry);
+    const Document* doc = Materialize(entries_[index]);
     history_[{std::string(key), doc->version}] = doc->raw_html;
   }
 }
@@ -265,9 +199,7 @@ const std::string* WebGraph::HistoricalHtml(std::string_view url,
 
 const WebGraph::Document* WebGraph::Find(std::string_view url) const {
   const DocEntry* entry = EntryFor(url);
-  if (entry == nullptr) return nullptr;
-  Document* doc = entry->doc.load(std::memory_order_acquire);
-  return doc != nullptr ? doc : Materialize(*entry);
+  return entry == nullptr ? nullptr : Materialize(*entry);
 }
 
 bool WebGraph::Has(std::string_view url) const {
@@ -300,10 +232,7 @@ std::vector<std::string> WebGraph::UrlsOnHost(std::string_view host) const {
 size_t WebGraph::TotalHtmlBytes() const {
   size_t total = 0;
   for (const auto& [key, index] : by_key_) {
-    const DocEntry& entry = entries_[index];
-    Document* doc = entry.doc.load(std::memory_order_acquire);
-    if (doc == nullptr) doc = Materialize(entry);
-    total += doc->raw_html.size();
+    total += Materialize(entries_[index])->raw_html.size();
   }
   return total;
 }

@@ -1,11 +1,11 @@
 #ifndef WEBDIS_WEB_GRAPH_H_
 #define WEBDIS_WEB_GRAPH_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -28,11 +28,10 @@ namespace webdis::web {
 /// pool; the document table and the per-host secondary index store 4-byte
 /// interned ids and arena views, never `std::string` copies. Documents may
 /// be *lazy*: added as (url, generator-aux) pairs and materialized — HTML
-/// rendered, parsed, cached — on first `Find`. Materialization is memoized,
-/// thread-safe (lock-free compare-exchange publication, safe under the
-/// parallel stepper's concurrent partitions), and deterministic, so a lazy
-/// web behaves byte-identically to an eager one while holding 10⁵–10⁶
-/// documents in tens of bytes each until they are actually fetched.
+/// rendered, parsed, cached — on first `Find`. Materialization is memoized
+/// and deterministic, so a lazy web behaves byte-identically to an eager one
+/// while holding 10⁵–10⁶ documents in tens of bytes each until they are
+/// actually fetched.
 class WebGraph {
  public:
   /// One web resource (Node in the paper's model).
@@ -59,14 +58,13 @@ class WebGraph {
       std::string_view key, uint64_t aux0, uint64_t aux1)>;
 
   WebGraph() = default;
-  // Hand-written: the materialization atomics delete the implicit moves.
   // Deque moves steal nodes whole, so entry addresses (and the arena views
   // in the indexes) survive a move intact.
-  WebGraph(WebGraph&& other) noexcept;
-  WebGraph& operator=(WebGraph&& other) noexcept;
+  WebGraph(WebGraph&&) = default;
+  WebGraph& operator=(WebGraph&&) = default;
   WebGraph(const WebGraph&) = delete;
   WebGraph& operator=(const WebGraph&) = delete;
-  ~WebGraph();
+  ~WebGraph() = default;
 
   /// Parses and stores a document eagerly. Fails on an unparsable URL or
   /// duplicate resource.
@@ -122,8 +120,7 @@ class WebGraph {
                                     uint64_t version) const;
 
   /// Looks up by resource key (URL without fragment); nullptr if absent.
-  /// Materializes a lazy document on first call (memoized; safe from
-  /// concurrent stepper partitions).
+  /// Materializes a lazy document on first call (memoized).
   const Document* Find(std::string_view url) const;
 
   /// True if the URL names a stored resource. Never materializes.
@@ -144,9 +141,7 @@ class WebGraph {
   /// Documents whose HTML is currently materialized (eager adds plus lazy
   /// first-fetches) — the working-set observability counter for the lazy
   /// representation.
-  size_t num_materialized() const {
-    return materialized_.load(std::memory_order_relaxed);
-  }
+  size_t num_materialized() const { return materialized_; }
 
   /// Sum of raw HTML sizes — what a data-shipping engine would download in
   /// the worst case. Materializes every lazy document; meaningful on
@@ -168,17 +163,18 @@ class WebGraph {
     uint64_t aux0 = 0;  // PageGenerator parameters (lazy entries)
     uint64_t aux1 = 0;
     bool lazy = false;
-    /// Materialized body, published with a release CAS on first fetch;
-    /// readers acquire-load. Mutable: materialization is a memoization,
-    /// observable only through the const Find path.
-    mutable std::atomic<Document*> doc{nullptr};
+    /// Materialized body, null until first fetch. Mutable:
+    /// materialization is a memoization, observable only through the const
+    /// Find path.
+    mutable std::unique_ptr<Document> doc;
   };
 
   /// Common head of AddDocument / AddLazyDocument: parses the URL (into
   /// `parsed_out`), interns the key/host, appends the entry, and wires both
   /// indexes. Returns the new entry.
   Result<DocEntry*> AddEntry(std::string_view url, html::Url* parsed_out);
-  /// Renders, parses, and publishes a lazy entry's Document (memoized).
+  /// The entry's Document, rendered and parsed first if still lazy
+  /// (memoized).
   Document* Materialize(const DocEntry& entry) const;
   /// Looks an entry up by resource key; nullptr if absent.
   const DocEntry* EntryFor(std::string_view url) const;
@@ -198,7 +194,7 @@ class WebGraph {
   std::set<uint32_t> retired_hosts_;  // interned host ids
   // webdis-lint: interned-tables-end
   size_t live_count_ = 0;
-  mutable std::atomic<size_t> materialized_{0};
+  mutable size_t materialized_ = 0;
   PageGenerator generator_;
   uint64_t epoch_ = 1;
   bool history_enabled_ = false;

@@ -60,9 +60,9 @@ struct MutationStats {
 /// ApplyDue from simulation timers and orchestrates the server-side
 /// consequences (starting spawned sites, retiring gone ones).
 ///
-/// Mutations touch WebGraph state that every query server reads, so churn
-/// runs must use the sequential stepper (EngineOptions.workers == 0); the
-/// parallel stepper's endpoint confinement does not cover a mutating web.
+/// Mutations touch WebGraph state that every query server reads. Each batch
+/// is applied by one timer event of the simulated network, between two
+/// handler runs, so no handler ever sees a half-applied batch.
 class MutationPlan {
  public:
   MutationPlan() = default;

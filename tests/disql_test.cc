@@ -159,6 +159,66 @@ TEST(ParserTest, ErrorLinkSymbolAlias) {
       ParseDisql("select L.url from document L such that \"u\" G L").ok());
 }
 
+// -- Nesting caps -------------------------------------------------------------
+//
+// The parser refuses what the wire decoders would refuse, so every query it
+// accepts can be shipped, and deep input is refused before it can overflow
+// the stack.
+
+constexpr char kCapPrefix[] =
+    "select d.url from document d such that \"http://a/\" L d where ";
+
+TEST(ParserCapTest, DeeplyNestedWhereIsInvalidArgument) {
+  const std::string text = kCapPrefix + std::string(100000, '(') +
+                           "d.title contains \"x\"" +
+                           std::string(100000, ')');
+  auto q = ParseDisql(text);
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ParserCapTest, LongNotChainIsInvalidArgument) {
+  std::string text = kCapPrefix;
+  for (int i = 0; i < 100000; ++i) text += "not ";
+  auto q = ParseDisql(text + "d.title contains \"x\"");
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ParserCapTest, DeeplyNestedPreIsInvalidArgument) {
+  auto q = ParseDisql("select d.url from document d such that \"http://a/\" " +
+                      std::string(10000, '(') + "L" +
+                      std::string(10000, ')') + " d");
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ParserCapTest, EveryAcceptedWhereClauseRoundTrips) {
+  // A chain of `and`s is a left-deep tree one level deeper per term.
+  int accepted = 0;
+  for (int terms = 1; terms <= 80; ++terms) {
+    SCOPED_TRACE("terms=" + std::to_string(terms));
+    std::string where = "d.title contains \"x\"";
+    for (int i = 1; i < terms; ++i) where += " and d.title contains \"x\"";
+    auto q = ParseDisql(kCapPrefix + where);
+    if (!q.ok()) {
+      EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+    ++accepted;
+    serialize::Encoder enc;
+    q->steps[0].where->EncodeTo(&enc);
+    serialize::Decoder dec(enc.data());
+    auto decoded = relational::Expr::DecodeFrom(&dec);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded.value()->ToString(), q->steps[0].where->ToString());
+  }
+  // The root `and` sits at depth 0, the first comparison `terms - 1`
+  // levels below it and its operands one level further, so 64 terms reach
+  // depth 64: the deepest that decodes.
+  EXPECT_EQ(accepted, 64);
+}
+
 TEST(ParserTest, ErrorNoSteps) {
   EXPECT_FALSE(ParseDisql("select a.b from").ok());
 }

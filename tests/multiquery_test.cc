@@ -66,7 +66,6 @@ struct OracleSchedule {
   bool crash = false;           // crash/restart one non-start host, WAL on
   bool row_budget = false;      // order-independent per-visit row budget
   double participation = 1.0;   // < 1: structural undeliverable naming
-  size_t workers = 0;           // parallel stepper mode
   /// Use the many-rows-per-visit sitemap query shape, so per-visit row
   /// budgets actually truncate (the default shape yields ≤ 1 row a visit).
   bool sitemap_queries = false;
@@ -130,7 +129,6 @@ OracleRun RunSchedule(const OracleSchedule& s, const ShareConfig& share) {
   const web::WebGraph web = web::GenerateSynthWeb(web_options);
 
   core::EngineOptions options;
-  options.network.worker_threads = s.workers;
   options.network.latency_jitter = 2 * kMillisecond;
   options.network.jitter_seed = s.seed * 31 + 7;
   options.participation_fraction = s.participation;
@@ -459,37 +457,6 @@ TEST(SharingEquivalenceOracle, DegradedOutcomesIdenticallyNamed) {
         EXPECT_FALSE(shared.any_duplicate_rows);
         EXPECT_EQ(shared.verdicts, baseline.verdicts);
       }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Suite D: the result cache is shared mutable state inside each server, and
-// the parallel stepper (DESIGN.md "Parallel execution") runs servers on
-// worker threads. Sharing must be invisible there too — same verdicts as
-// the single-threaded unshared baseline. This suite is the reason
-// multiquery_test runs under TSan in CI.
-// ---------------------------------------------------------------------------
-
-TEST(SharingEquivalenceOracle, ParallelStepperSharingMatchesBaseline) {
-  for (uint64_t seed : {3u, 9u}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    OracleSchedule s;
-    s.seed = seed;
-    s.queries = 4;
-    s.drop_faults = true;
-    s.overload = true;
-
-    const OracleRun baseline = RunSchedule(s, kUnshared);
-    EXPECT_TRUE(baseline.all_completed);
-    for (const ShareConfig& share : kVariants) {
-      SCOPED_TRACE(share.name);
-      OracleSchedule threaded = s;
-      threaded.workers = 2;
-      const OracleRun shared = RunSchedule(threaded, share);
-      EXPECT_TRUE(shared.all_completed);
-      EXPECT_FALSE(shared.any_duplicate_rows);
-      EXPECT_EQ(shared.verdicts, baseline.verdicts);
     }
   }
 }

@@ -78,6 +78,105 @@ TEST(PreParseTest, Errors) {
   EXPECT_FALSE(Pre::Parse("G)").ok());
 }
 
+// -- Depth and width caps -----------------------------------------------------
+//
+// Pre::Parse refuses what DecodeFrom would refuse, so every PRE it accepts
+// can cross the wire, and deep input is refused before it can overflow the
+// stack.
+
+/// `(G.(L|(G.(…))))` with `levels` alternating concatenations and
+/// alternations: a tree exactly `levels` deep that nothing flattens.
+std::string AlternatingPre(int levels) {
+  std::string text = "L";
+  for (int level = 1; level <= levels; ++level) {
+    text = (level % 2 == 1 ? "G.(" : "L|(") + text + ")";
+  }
+  return text;
+}
+
+/// Parses `text`; if accepted, the PRE must survive EncodeTo/DecodeFrom
+/// unchanged. Returns whether Parse accepted it.
+bool ParsesAndRoundTrips(const std::string& text) {
+  auto parsed = Pre::Parse(text);
+  if (!parsed.ok()) {
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+        << parsed.status().ToString();
+    return false;
+  }
+  serialize::Encoder enc;
+  parsed->EncodeTo(&enc);
+  serialize::Decoder dec(enc.data());
+  auto decoded = Pre::DecodeFrom(&dec);
+  EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(decoded.ok() && parsed->Equals(decoded.value()));
+  return true;
+}
+
+TEST(PreDepthCapTest, DeepParenthesesAreInvalidArgument) {
+  const std::string text =
+      std::string(10000, '(') + "L" + std::string(10000, ')');
+  auto parsed = Pre::Parse(text);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PreDepthCapTest, LongStarChainIsInvalidArgument) {
+  auto parsed = Pre::Parse("L" + std::string(100000, '*'));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PreDepthCapTest, DepthSixtyFiveNeitherParsesNorDecodes) {
+  // The tree the parser used to accept: DecodeFrom rejects its encoding.
+  Pre deep = Pre::Link(L);
+  for (int level = 1; level <= 65; ++level) {
+    deep = level % 2 == 1 ? Pre::Concat(Pre::Link(G), deep)
+                          : Pre::Alt(Pre::Link(L), deep);
+  }
+  serialize::Encoder enc;
+  deep.EncodeTo(&enc);
+  serialize::Decoder dec(enc.data());
+  EXPECT_EQ(Pre::DecodeFrom(&dec).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(deep.CheckEncodable().code(), StatusCode::kInvalidArgument);
+
+  auto parsed = Pre::Parse(AlternatingPre(65));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PreDepthCapTest, EveryAcceptedPreRoundTrips) {
+  for (int levels = 1; levels <= 80; ++levels) {
+    SCOPED_TRACE("levels=" + std::to_string(levels));
+    EXPECT_EQ(ParsesAndRoundTrips(AlternatingPre(levels)), levels <= 64);
+    EXPECT_EQ(ParsesAndRoundTrips("L" + std::string(levels, '*')),
+              levels <= 64);
+  }
+  // Redundant parentheses add no tree level, but still count toward the
+  // nesting cap.
+  EXPECT_TRUE(ParsesAndRoundTrips(std::string(64, '(') + "L" +
+                                  std::string(64, ')')));
+  EXPECT_FALSE(ParsesAndRoundTrips(std::string(65, '(') + "L" +
+                                   std::string(65, ')')));
+  // Width: a concatenation or alternation carries at most kMaxOperands
+  // operands on the wire, also after flattening nested groups.
+  const auto concat = [](int n) {
+    std::string text = "L";
+    for (int i = 1; i < n; ++i) text += ".L";
+    return text;
+  };
+  const auto alternation = [](int n) {
+    std::string text = "L*1";
+    for (int i = 2; i <= n; ++i) text += "|L*" + std::to_string(i);
+    return text;
+  };
+  EXPECT_TRUE(ParsesAndRoundTrips(concat(1024)));
+  EXPECT_FALSE(ParsesAndRoundTrips(concat(1025)));
+  EXPECT_FALSE(ParsesAndRoundTrips("(" + concat(600) + ").(" + concat(600) +
+                                   ")"));
+  EXPECT_TRUE(ParsesAndRoundTrips(alternation(1024)));
+  EXPECT_FALSE(ParsesAndRoundTrips(alternation(1025)));
+}
+
 TEST(PreParseTest, ToStringRoundTrip) {
   for (const char* text :
        {"L", "N", "G.(G | L)", "N | G.L*4", "L*", "(L | G)*3.I",

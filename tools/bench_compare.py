@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """bench_compare: gate CI on wall-clock regressions in bench JSON output.
 
-The parallel/multiquery harnesses (bench/p1_parallel, bench/s2_multiquery)
-write one JSON object per line with the fixed schema
+The JSON-writing harnesses (bench/p1_web_scale, bench/s2_multiquery,
+bench/r3_durability, bench/r4_churn) write one JSON object per line with the
+fixed schema
 
-    {"workload": str, "workers": int, "wall_ms": float,
-     "virtual_ms": float, "messages": int, "bytes": int}
+    {"workload": str, "wall_ms": float, "virtual_ms": float,
+     "messages": int, "bytes": int}
 
-to BENCH_PARALLEL.json / BENCH_MULTIQUERY.json at the repo root. This tool
-compares a freshly produced file against a stored baseline and exits 1 when
-any (workload, workers) row's wall_ms regressed by more than the threshold
+to BENCH_WEB.json / BENCH_MULTIQUERY.json / BENCH_DURABILITY.json /
+BENCH_CHURN.json at the repo root. This tool compares a freshly produced
+file against a stored baseline and exits 1 when any workload row's wall_ms
+regressed by more than the threshold
 (default 15%). A missing baseline is not an error — first runs pass and the
 produced file becomes the next baseline.
 
@@ -17,7 +19,7 @@ virtual_ms / messages / bytes are *determinism* measures: they must match the
 baseline exactly for the same code, so a mismatch is printed as a warning
 (code changes legitimately move them; wall-clock is the only gate).
 
-Three further gates run within CURRENT alone (no baseline needed):
+Two further gates run within CURRENT alone (no baseline needed):
 
   sharing      when the multiquery bench emits both s2_multiquery_q16 and
                s2_multiquery_shared_q16 rows, cross-query sharing must keep
@@ -25,16 +27,9 @@ Three further gates run within CURRENT alone (no baseline needed):
                (the sublinearity claim of the result cache + batch
                envelopes).
 
-  speedup      when the parallel bench emits p1_parallel rows for workers=1
-               and workers=4 and the recording machine had >= 4 cores (the
-               rows carry a "cores" field), the 4-worker wall clock must be
-               at most half the 1-worker wall clock — parallel execution
-               has to actually pay. Skipped (with a note) on narrower
-               machines, where there is nothing to measure.
-
   memory       any row carrying a bytes_per_document field (the p1 bench's
-               p1_web_memory row describes its 10^5-document lazy web) must
-               stay at or below the per-document ceiling; the lazy
+               p1_web_scale_memory row describes its 10^5-document lazy
+               web) must stay at or below the per-document ceiling; the lazy
                arena/interner representation must not regress into
                megabytes-per-web territory.
 
@@ -53,8 +48,8 @@ import os
 import sys
 
 
-def load(path: str) -> dict[tuple[str, int], dict]:
-    rows: dict[tuple[str, int], dict] = {}
+def load(path: str) -> dict[str, dict]:
+    rows: dict[str, dict] = {}
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
             line = line.strip()
@@ -64,7 +59,7 @@ def load(path: str) -> dict[tuple[str, int], dict]:
                 row = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{line_no}: bad JSON: {e}") from e
-            for field in ("workload", "workers", "wall_ms"):
+            for field in ("workload", "wall_ms"):
                 if field not in row:
                     raise ValueError(
                         f"{path}:{line_no}: bench row is missing metric "
@@ -72,7 +67,7 @@ def load(path: str) -> dict[tuple[str, int], dict]:
             # Validate metric types up front so a malformed row fails with
             # the metric's name, not a TypeError deep in the comparison.
             for field in ("wall_ms", "virtual_ms", "messages", "bytes",
-                          "cache_hit_rate", "cores", "bytes_per_document",
+                          "cache_hit_rate", "bytes_per_document",
                           "peak_rss_bytes", "documents", "materialized"):
                 if field in row and (isinstance(row[field], bool)
                                      or not isinstance(row[field],
@@ -80,13 +75,7 @@ def load(path: str) -> dict[tuple[str, int], dict]:
                     raise ValueError(
                         f"{path}:{line_no}: metric '{field}' is "
                         f"{row[field]!r}, expected a number")
-            try:
-                workers = int(row["workers"])
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"{path}:{line_no}: metric 'workers' is "
-                    f"{row['workers']!r}, expected an integer") from None
-            rows[(row["workload"], workers)] = row
+            rows[row["workload"]] = row
     return rows
 
 
@@ -94,15 +83,15 @@ SHARING_GATE_Q = 16
 SHARING_GATE_RATIO = 0.5
 
 
-def check_sharing(current: dict[tuple[str, int], dict]) -> list[str]:
+def check_sharing(current: dict[str, dict]) -> list[str]:
     """Sublinearity gate: shared q16 traffic must be <= half of unshared.
 
     Returns a list of human-readable violations (empty when the gate passes
     or the multiquery rows are absent). Each violation names the metric and
     its delta so a failing CI log is actionable on its own.
     """
-    plain = current.get((f"s2_multiquery_q{SHARING_GATE_Q}", 0))
-    shared = current.get((f"s2_multiquery_shared_q{SHARING_GATE_Q}", 0))
+    plain = current.get(f"s2_multiquery_q{SHARING_GATE_Q}")
+    shared = current.get(f"s2_multiquery_shared_q{SHARING_GATE_Q}")
     if plain is None or shared is None:
         return []
     violations: list[str] = []
@@ -135,72 +124,24 @@ def check_sharing(current: dict[tuple[str, int], dict]) -> list[str]:
     return violations
 
 
-SPEEDUP_GATE_WORKERS = (1, 4)
-SPEEDUP_GATE_RATIO = 0.5  # wall at 4 workers <= 0.5 x wall at 1 worker
-SPEEDUP_GATE_MIN_CORES = 4
-
-
-def check_speedup(current: dict[tuple[str, int], dict]) -> list[str]:
-    """Speedup-curve gate: 4 workers must halve the 1-worker wall clock.
-
-    Evaluated within CURRENT alone whenever the p1_parallel rows are
-    present; only enforced when the rows were recorded on a machine with at
-    least SPEEDUP_GATE_MIN_CORES hardware threads (the rows say so via
-    their "cores" field — a 1-core CI runner cannot demonstrate a speedup
-    and is skipped with a note, not a vacuous pass).
-    """
-    lo, hi = SPEEDUP_GATE_WORKERS
-    base = current.get(("p1_parallel", lo))
-    wide = current.get(("p1_parallel", hi))
-    if base is None or wide is None:
-        return []
-    violations: list[str] = []
-    missing = [f"workers={row_workers}" for row_workers, row in
-               ((lo, base), (hi, wide)) if "cores" not in row]
-    if missing:
-        # Without the core count the gate cannot tell "skipped on a narrow
-        # machine" from "should have been enforced" — make that loud.
-        violations.append(
-            f"p1_parallel row(s) {', '.join(missing)} missing metric "
-            "'cores' — cannot evaluate the speedup gate")
-        return violations
-    cores = min(base["cores"], wide["cores"])
-    if cores < SPEEDUP_GATE_MIN_CORES:
-        print(f"bench_compare: speedup gate skipped: rows recorded on "
-              f"{cores} core(s), need >= {SPEEDUP_GATE_MIN_CORES}")
-        return violations
-    wall_lo, wall_hi = base["wall_ms"], wide["wall_ms"]
-    limit = wall_lo * SPEEDUP_GATE_RATIO
-    speedup = wall_lo / wall_hi if wall_hi else float("inf")
-    verdict = "VIOLATION" if wall_hi > limit else "ok"
-    print(f"bench_compare: speedup: wall {wall_lo:.3f} ms at "
-          f"workers={lo} -> {wall_hi:.3f} ms at workers={hi} "
-          f"({speedup:.2f}x, gate {1 / SPEEDUP_GATE_RATIO:.1f}x on "
-          f"{cores} cores) {verdict}")
-    if verdict == "VIOLATION":
-        violations.append(
-            f"wall_ms {wall_hi:.3f} at workers={hi} exceeds "
-            f"{limit:.3f} ({SPEEDUP_GATE_RATIO:.2f} x workers={lo} wall "
-            f"{wall_lo:.3f}; delta +{wall_hi - limit:.3f} ms)")
-    return violations
-
-
 MEMORY_GATE_BYTES_PER_DOC = 1024
 
 
-def check_memory(current: dict[tuple[str, int], dict]) -> list[str]:
+MEMORY_GATE_ROW = "p1_web_scale_memory"
+
+
+def check_memory(current: dict[str, dict]) -> list[str]:
     """Memory gate: lazy-web rows must stay under the per-document ceiling.
 
     Applies to every row that carries a bytes_per_document field (the p1
-    bench emits one p1_web_memory row for its 10^5-document web). A
-    p1_web_memory row *without* the field is itself a violation — the gate
+    bench emits one MEMORY_GATE_ROW row for its 10^5-document web). A
+    MEMORY_GATE_ROW row *without* the field is itself a violation — the gate
     must not pass vacuously because the bench stopped recording the metric.
     """
     violations: list[str] = []
-    for (workload, workers), row in sorted(current.items()):
-        name = f"{workload} (workers={workers})"
+    for name, row in sorted(current.items()):
         if "bytes_per_document" not in row:
-            if workload == "p1_web_memory":
+            if name == MEMORY_GATE_ROW:
                 violations.append(
                     f"row {name} missing metric 'bytes_per_document' — "
                     "cannot evaluate the memory gate")
@@ -234,7 +175,6 @@ def main() -> int:
         return 2
     gate_violations: list[tuple[str, str]] = []
     for gate, check in (("sharing", check_sharing),
-                        ("speedup", check_speedup),
                         ("memory", check_memory)):
         for violation in check(current):
             print(f"bench_compare: {gate} gate: {violation}",
@@ -252,9 +192,8 @@ def main() -> int:
         return 2
 
     regressions = []
-    for key, base_row in sorted(baseline.items()):
-        cur_row = current.get(key)
-        name = f"{key[0]} (workers={key[1]})"
+    for name, base_row in sorted(baseline.items()):
+        cur_row = current.get(name)
         if cur_row is None:
             print(f"bench_compare: note: {name} missing from current run")
             continue
@@ -270,8 +209,8 @@ def main() -> int:
                     and base_row[field] != cur_row[field]:
                 print(f"bench_compare: warning: {name}: {field} changed "
                       f"{base_row[field]} -> {cur_row[field]}")
-    for key in sorted(set(current) - set(baseline)):
-        print(f"bench_compare: note: new row {key[0]} (workers={key[1]})")
+    for name in sorted(set(current) - set(baseline)):
+        print(f"bench_compare: note: new row {name}")
 
     if regressions:
         print(f"bench_compare: {len(regressions)} wall-clock regression(s) "

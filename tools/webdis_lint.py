@@ -40,19 +40,6 @@ the ones whose violation breaks distributed termination or reproducibility
                 (private constructor behind a factory) carries an allow
                 comment.
 
-  confinement   The parallel stepper (src/net/parallel_sim.cc) runs
-                different endpoints' handlers concurrently inside a time
-                slice, which is only sound while every mutable QueryServer /
-                UserSite field is either WEBDIS_GUARDED_BY a mutex or
-                confined to its own endpoint's handler. Confinement cannot
-                be checked mechanically, so it is recorded: each audited
-                field is listed in CONFINEMENT_ALLOWLIST below. A new field
-                that is neither annotated nor listed fails the lint — add
-                the annotation, or audit that only the owning endpoint's
-                handler ever touches it and extend the allowlist. Stale
-                allowlist entries (field renamed/removed) also fail, so the
-                audit record cannot rot. See DESIGN.md "Parallel execution".
-
   lock-order    Builds the directed mutex-acquisition graph under src/ from
                 two sources: WEBDIS_ACQUIRED_BEFORE annotations on
                 webdis::Mutex declarations, and lexically nested MutexLock
@@ -71,9 +58,9 @@ the ones whose violation breaks distributed termination or reproducibility
                 AppendCounterText).
                 Hash-table iteration order is implementation-defined, so
                 bytes produced from it drift across stdlibs and runs —
-                breaking golden frames, WAL replay equivalence, and the
-                bit-identical parallel-vs-sequential oracle. Materialize
-                into a sorted container first, or iterate a std::map.
+                breaking golden frames and WAL replay equivalence.
+                Materialize into a sorted container first, or iterate a
+                std::map.
 
   web-interned-tables
                 The arena-backed document tables in src/web/graph.h (the
@@ -82,8 +69,8 @@ the ones whose violation breaks distributed termination or reproducibility
                 string_views into the interner arena — never owning
                 std::string copies. One raw std::string per document is the
                 difference between ~300 bytes and ~kilobytes of table
-                machinery per document at the 10^5–10^6-document scale
-                bench/p1_parallel gates on. Missing markers fail too, so the
+                machinery per document at the 10^5-document scale
+                bench/p1_web_scale gates on. Missing markers fail too, so the
                 audit region cannot silently disappear. Skipped when
                 src/web/graph.h is absent.
 
@@ -122,63 +109,6 @@ CLOCK_PATTERNS = [
 ]
 
 NAKED_NEW = re.compile(r"(?<![:\w])new\s+[A-Za-z_][\w:]*(\s*[<({[]|\s*[;,)])")
-
-# Classes whose handlers the parallel stepper may run concurrently with
-# other endpoints', and the audited per-endpoint-confined fields of each.
-# Trailing-underscore names only: nested helper structs (Forward, QueuedClone,
-# PendingAck, CachedDatabase, QueryRun, ...) follow the plain-member naming
-# convention and are data, not endpoint state.
-CONFINEMENT_CLASSES = {
-    os.path.join("src", "server", "query_server.h"): "QueryServer",
-    os.path.join("src", "client", "user_site.h"): "UserSite",
-}
-CONFINEMENT_ALLOWLIST = {
-    "QueryServer": {
-        # Identity / wiring, set at construction and read-only afterwards.
-        "host_", "web_", "transport_", "options_", "clock_",
-        # Per-server protocol state: every mutation happens inside this
-        # server's own OnMessage/timer handlers (one endpoint = one
-        # partition, handlers within a partition run sequentially).
-        "stats_", "sender_", "receiver_", "breakers_", "pending_clones_",
-        "drain_timer_", "log_table_", "terminated_queries_", "pending_acks_",
-        "next_ack_token_", "db_cache_lru_", "db_cache_index_",
-        "db_cache_bytes_", "scratch_db_", "started_",
-        # Durability (server/persist): the backend pointer is set before the
-        # run starts; the WAL id counter and snapshot cadence counter are
-        # mutated only inside this server's own message/timer handlers.
-        "persist_", "next_wal_id_", "clones_since_snapshot_",
-        # Cross-host observer sink: the engine wraps it in a mutex when
-        # worker_threads > 0 (core::Engine::ObserveVisits); the field itself
-        # is only assigned before the run starts.
-        "visit_observer_",
-        # Cross-query sharing (PROTOCOL.md §9): the result cache and the
-        # batch staging buffers are per-server state, touched only from this
-        # server's own OnMessage and flush-timer handlers. The cache is
-        # *shared across queries* but not across endpoints — concurrent
-        # queries reach one server's cache strictly through that server's
-        # serialized partition.
-        "result_cache_lru_", "result_cache_index_", "result_cache_bytes_",
-        "staged_clones_", "staged_reports_", "flush_timer_",
-        "wal_pending_flush_",
-        # Dynamic web & churn (PROTOCOL.md §10): flipped only by Retire(),
-        # which the engine invokes from a mutation timer — churn runs are
-        # restricted to the sequential stepper (workers == 0), and under the
-        # parallel stepper the flag is written by nobody.
-        "retired_",
-    },
-    "UserSite": {
-        # Identity / wiring, construction-time only.
-        "host_", "transport_", "options_", "clock_",
-        # All mutated only from this site's result-socket / timer handlers,
-        # which share the user site's single host partition.
-        "sender_", "receiver_", "next_port_", "next_query_number_", "runs_",
-        # §10.4 oracle hook: assigned before the run starts, invoked only
-        # from this site's result-socket handlers (single host partition).
-        "report_observer_",
-    },
-}
-FIELD_DECL = re.compile(r"\b(\w+_)\s*(?:=\s*[^;=]*)?;\s*$")
-GUARDED_FIELD = re.compile(r"\b(\w+_)\s+WEBDIS_GUARDED_BY\s*\(")
 
 ENUM_CONSTANT = re.compile(
     r"^\s*k(?P<name>\w+)\s*=\s*(?P<num>\d+)\s*,\s*(//\s*(?P<comment>.*))?$")
@@ -502,55 +432,6 @@ class Linter:
                                "a webdis-lint: allow(naked-new) comment "
                                "explaining the ownership transfer)")
 
-    # -- endpoint confinement --------------------------------------------------
-
-    def check_confinement(self) -> None:
-        for rel, cls in CONFINEMENT_CLASSES.items():
-            text = self.read(rel)
-            if text is None:
-                continue  # synthetic trees need not carry every class
-            m = re.search(
-                rf"class\s+{cls}\b.*?\{{(?P<body>.*?)^\}};",
-                text, re.DOTALL | re.MULTILINE)
-            if m is None:
-                self.error(rel, 1, "confinement",
-                           f"class {cls} not found — cannot audit fields")
-                continue
-            body_start_line = text[:m.start("body")].count("\n") + 1
-            allow = CONFINEMENT_ALLOWLIST.get(cls, set())
-            lines = text.splitlines()
-
-            declared: dict[str, int] = {}
-            guarded: set[str] = set()
-            for off, raw in enumerate(m.group("body").splitlines()):
-                code = self.strip_code(raw)
-                gm = GUARDED_FIELD.search(code)
-                if gm is not None:
-                    guarded.add(gm.group(1))
-                    declared.setdefault(gm.group(1), body_start_line + off)
-                    continue
-                fm = FIELD_DECL.search(code)
-                if fm is not None:
-                    declared.setdefault(fm.group(1), body_start_line + off)
-
-            for name, line in sorted(declared.items()):
-                if name in guarded or name in allow:
-                    continue
-                if self.suppressed(lines, line - 1, "confinement"):
-                    continue
-                self.error(
-                    rel, line, "confinement",
-                    f"{cls}::{name} is neither WEBDIS_GUARDED_BY a mutex "
-                    "nor in the per-endpoint-confined allowlist "
-                    "(tools/webdis_lint.py CONFINEMENT_ALLOWLIST) — the "
-                    "parallel stepper runs endpoints concurrently; audit "
-                    "who touches this field and record the decision")
-            for name in sorted(allow - set(declared)):
-                self.error(
-                    rel, 1, "confinement",
-                    f"allowlist entry {cls}::{name} matches no declared "
-                    "field — remove it so the audit record stays accurate")
-
     # -- lock ordering ---------------------------------------------------------
 
     def check_lock_order(self) -> None:
@@ -810,8 +691,8 @@ def main(argv: list[str]) -> int:
         help="repository root to lint (default: this script's repo)")
     parser.add_argument(
         "--rules",
-        default="wire-parity,wal-parity,clock,naked-new,confinement,"
-                "lock-order,iter-determinism,web-interned-tables",
+        default="wire-parity,wal-parity,clock,naked-new,lock-order,"
+                "iter-determinism,web-interned-tables",
         help="comma-separated subset of rules to run")
     args = parser.parse_args(argv)
 
@@ -829,8 +710,6 @@ def main(argv: list[str]) -> int:
         linter.check_clock_hygiene()
     if "naked-new" in rules:
         linter.check_naked_new()
-    if "confinement" in rules:
-        linter.check_confinement()
     if "lock-order" in rules:
         linter.check_lock_order()
     if "iter-determinism" in rules:

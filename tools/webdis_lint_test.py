@@ -110,8 +110,6 @@ class LintTreeTest(unittest.TestCase):
             linter.check_clock_hygiene()
         if "naked-new" in rules:
             linter.check_naked_new()
-        if "confinement" in rules:
-            linter.check_confinement()
         if "lock-order" in rules:
             linter.check_lock_order()
         if "iter-determinism" in rules:
@@ -433,100 +431,6 @@ struct EchoBatch {
                    "auto p = std::make_unique<Engine>();\n"
                    "int renewed = renew(foo);\n")
         self.assertEqual(self.run_lint({"naked-new"}), [])
-
-    # -- endpoint confinement ------------------------------------------------
-
-    def write_query_server(self, extra_fields=""):
-        self.write("src/server/query_server.h",
-                   "class QueryServer {\n"
-                   " public:\n"
-                   "  void Start();\n"
-                   " private:\n"
-                   "  std::string host_;\n"
-                   "  mutable QueryServerStats stats_;\n"
-                   + extra_fields +
-                   "};\n")
-
-    def patch_allowlist(self, cls, fields):
-        original = webdis_lint.CONFINEMENT_ALLOWLIST[cls]
-        webdis_lint.CONFINEMENT_ALLOWLIST[cls] = fields
-        self.addCleanup(
-            webdis_lint.CONFINEMENT_ALLOWLIST.__setitem__, cls, original)
-
-    def test_confinement_allowlisted_fields_pass(self):
-        self.write_consistent_tree()
-        self.patch_allowlist("QueryServer", {"host_", "stats_"})
-        self.write_query_server()
-        self.assertEqual(self.run_lint({"confinement"}), [])
-
-    def test_confinement_new_unannotated_field_fails(self):
-        self.write_consistent_tree()
-        self.patch_allowlist("QueryServer", {"host_", "stats_"})
-        self.write_query_server("  std::map<int, int> rogue_state_;\n")
-        errors = self.run_lint({"confinement"})
-        self.assertTrue(any("[confinement]" in e and "rogue_state_" in e
-                            for e in errors), errors)
-
-    def test_confinement_guarded_field_passes(self):
-        self.write_consistent_tree()
-        self.patch_allowlist("QueryServer", {"host_", "stats_"})
-        self.write_query_server(
-            "  uint64_t shared_hits_ WEBDIS_GUARDED_BY(mu_) = 0;\n")
-        self.assertEqual(self.run_lint({"confinement"}), [])
-
-    def test_confinement_allow_comment_passes(self):
-        self.write_consistent_tree()
-        self.patch_allowlist("QueryServer", {"host_", "stats_"})
-        self.write_query_server(
-            "  // webdis-lint: allow(confinement) — audited separately\n"
-            "  std::vector<int> special_case_;\n")
-        self.assertEqual(self.run_lint({"confinement"}), [])
-
-    # The cross-query result cache is shared across queries but confined to
-    # one endpoint's partition: its fields must still be audited like any
-    # other mutable server state.
-
-    CACHE_FIELDS = ("  std::list<CachedResult> result_cache_lru_;\n"
-                    "  std::map<std::string, It> result_cache_index_;\n"
-                    "  uint64_t result_cache_bytes_ = 0;\n")
-
-    def test_confinement_unlisted_cache_fields_fail(self):
-        self.write_consistent_tree()
-        self.patch_allowlist("QueryServer", {"host_", "stats_"})
-        self.write_query_server(self.CACHE_FIELDS)
-        errors = self.run_lint({"confinement"})
-        for field in ("result_cache_lru_", "result_cache_index_",
-                      "result_cache_bytes_"):
-            self.assertTrue(any("[confinement]" in e and field in e
-                                for e in errors), (field, errors))
-
-    def test_confinement_allowlisted_cache_fields_pass(self):
-        self.write_consistent_tree()
-        self.patch_allowlist("QueryServer",
-                             {"host_", "stats_", "result_cache_lru_",
-                              "result_cache_index_", "result_cache_bytes_"})
-        self.write_query_server(self.CACHE_FIELDS)
-        self.assertEqual(self.run_lint({"confinement"}), [])
-
-    def test_confinement_stale_allowlist_entry_fails(self):
-        self.write_consistent_tree()
-        self.patch_allowlist("QueryServer",
-                             {"host_", "stats_", "deleted_long_ago_"})
-        self.write_query_server()
-        errors = self.run_lint({"confinement"})
-        self.assertTrue(any("[confinement]" in e and "deleted_long_ago_" in e
-                            for e in errors), errors)
-
-    def test_confinement_missing_class_fails(self):
-        self.write_consistent_tree()
-        self.write("src/server/query_server.h", "struct SomethingElse {};\n")
-        errors = self.run_lint({"confinement"})
-        self.assertTrue(any("[confinement]" in e and "QueryServer" in e
-                            for e in errors), errors)
-
-    def test_confinement_absent_file_skipped(self):
-        self.write_consistent_tree()  # no query_server.h at all
-        self.assertEqual(self.run_lint({"confinement"}), [])
 
     # -- lock ordering -------------------------------------------------------
 
