@@ -55,11 +55,12 @@ std::string DecodeEntities(std::string_view s) {
   return out;
 }
 
-std::string EscapeForHtml(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
+void EscapeForHtmlTo(std::string_view s, std::string& out) {
+  size_t run = 0;
+  size_t i = 0;
+  while ((i = s.find_first_of("&<>\"", i)) != std::string_view::npos) {
+    out.append(s.substr(run, i - run));
+    switch (s[i]) {
       case '&':
         out += "&amp;";
         break;
@@ -69,14 +70,12 @@ std::string EscapeForHtml(std::string_view s) {
       case '>':
         out += "&gt;";
         break;
-      case '"':
+      default:  // '"'
         out += "&quot;";
-        break;
-      default:
-        out.push_back(c);
     }
+    run = ++i;
   }
-  return out;
+  out.append(s.substr(run));
 }
 
 }  // namespace webdis::html

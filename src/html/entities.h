@@ -40,8 +40,9 @@ void DecodeEntitiesTo(std::string_view s, Out& out) {
 /// passed through verbatim, as browsers of the paper's era did.
 std::string DecodeEntities(std::string_view s);
 
-/// Escapes &, <, > and " for embedding text into generated HTML.
-std::string EscapeForHtml(std::string_view s);
+/// Appends `s` to `out` with &, <, > and " escaped, for embedding text into
+/// generated HTML. Runs without special characters are appended whole.
+void EscapeForHtmlTo(std::string_view s, std::string& out);
 
 }  // namespace webdis::html
 

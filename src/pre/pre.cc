@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -77,7 +78,8 @@ Pre Pre::Alt(const Pre& a, const Pre& b) { return AltAll({a, b}); }
 
 Pre Pre::AltAll(const std::vector<Pre>& parts) {
   std::vector<NodeRef> flat;
-  std::vector<std::string> keys;
+  // Canonical keys already in `flat`; `flat` keeps first-occurrence order.
+  std::unordered_set<std::string> keys;
   bool saw_any = false;
   for (const Pre& p : parts) {
     saw_any = true;
@@ -89,9 +91,7 @@ Pre Pre::AltAll(const std::vector<Pre>& parts) {
       expanded.push_back(p);
     }
     for (const Pre& e : expanded) {
-      const std::string key = e.CanonicalKey();
-      if (std::find(keys.begin(), keys.end(), key) != keys.end()) continue;
-      keys.push_back(key);
+      if (!keys.insert(e.CanonicalKey()).second) continue;
       flat.push_back(e.node_ != nullptr ? e.node_ : Empty().node_);
       if (e.node_ == nullptr) {
         // Represent ε inside an alternation with an explicit empty node so

@@ -1,5 +1,6 @@
 #include "web/graph.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "common/logging.h"
@@ -20,39 +21,43 @@ void SetBody(WebGraph::Document* doc, std::string html) {
 
 }  // namespace
 
-Result<WebGraph::DocEntry*> WebGraph::AddEntry(std::string_view url,
-                                               html::Url* parsed_out) {
+Result<uint32_t> WebGraph::AddEntry(std::string_view url,
+                                    html::Url* parsed_out) {
   WEBDIS_ASSIGN_OR_RETURN(*parsed_out, html::ParseUrl(url));
   const std::string key = parsed_out->ResourceKey();
-  if (by_key_.find(key) != by_key_.end()) {
+  if (IdForKey(key) != common::StringInterner::kInvalidId) {
     return Status::InvalidArgument(
         StringPrintf("duplicate document '%s'", key.c_str()));
   }
-  const uint32_t key_id = strings_.Intern(key);
-  const uint32_t host_id = strings_.Intern(parsed_out->host);
-  const uint32_t index = static_cast<uint32_t>(entries_.size());
-  DocEntry& entry = entries_.emplace_back();
-  entry.key_id = key_id;
+  // A new key gets the next id, which is the next slot; a removed key
+  // keeps its id and revives its tombstone.
+  const uint32_t id = keys_.Intern(key);
+  if (id == entries_.size()) entries_.emplace_back();
+  const uint32_t host_id = hosts_.Intern(parsed_out->host);
+  if (host_id == host_slots_.size()) host_slots_.emplace_back();
+  DocEntry& entry = entries_[id];
+  entry = DocEntry();  // a revived tombstone starts afresh
   entry.host_id = host_id;
+  entry.live = true;
   entry.born_epoch = epoch_;
-  by_key_.emplace(strings_.View(key_id), index);
-  host_index_[strings_.View(host_id)].emplace(strings_.View(key_id), index);
+  host_slots_[host_id].entries.push_back(id);
   ++live_count_;
-  return &entry;
+  return id;
 }
 
 Status WebGraph::AddDocument(std::string_view url, std::string html) {
   html::Url parsed_url;
-  DocEntry* entry = nullptr;
-  WEBDIS_ASSIGN_OR_RETURN(entry, AddEntry(url, &parsed_url));
+  uint32_t id = 0;
+  WEBDIS_ASSIGN_OR_RETURN(id, AddEntry(url, &parsed_url));
+  DocEntry& entry = entries_[id];
   auto doc = std::make_unique<Document>();
   doc->url = std::move(parsed_url);
   SetBody(doc.get(), std::move(html));
-  doc->born_epoch = entry->born_epoch;
+  doc->born_epoch = entry.born_epoch;
   if (history_enabled_) {
     history_[{doc->url.ResourceKey(), doc->version}] = doc->raw_html;
   }
-  entry->doc = std::move(doc);
+  entry.doc = std::move(doc);
   ++materialized_;
   return Status::OK();
 }
@@ -64,25 +69,27 @@ void WebGraph::SetPageGenerator(PageGenerator generator) {
 Status WebGraph::AddLazyDocument(std::string_view url, uint64_t aux0,
                                  uint64_t aux1) {
   html::Url parsed_url;
-  DocEntry* entry = nullptr;
-  WEBDIS_ASSIGN_OR_RETURN(entry, AddEntry(url, &parsed_url));
-  entry->lazy = true;
-  entry->aux0 = aux0;
-  entry->aux1 = aux1;
+  uint32_t id = 0;
+  WEBDIS_ASSIGN_OR_RETURN(id, AddEntry(url, &parsed_url));
+  DocEntry& entry = entries_[id];
+  entry.lazy = true;
+  entry.aux0 = aux0;
+  entry.aux1 = aux1;
   if (history_enabled_) {
     // History needs every body; a lazy add during oracle recording is
     // materialized on the spot so the (key, version) record exists.
-    Document* doc = Materialize(*entry);
+    Document* doc = Materialize(id);
     history_[{doc->url.ResourceKey(), doc->version}] = doc->raw_html;
   }
   return Status::OK();
 }
 
-WebGraph::Document* WebGraph::Materialize(const DocEntry& entry) const {
+WebGraph::Document* WebGraph::Materialize(uint32_t id) const {
+  const DocEntry& entry = entries_[id];
   if (entry.doc != nullptr) return entry.doc.get();
   WEBDIS_CHECK(entry.lazy);
   WEBDIS_CHECK(generator_ != nullptr);
-  const std::string_view key = strings_.View(entry.key_id);
+  const std::string_view key = keys_.View(id);
   auto parsed = html::ParseUrl(key);
   WEBDIS_CHECK(parsed.ok());  // the key round-trips: it was parsed at add
   auto doc = std::make_unique<Document>();
@@ -95,28 +102,38 @@ WebGraph::Document* WebGraph::Materialize(const DocEntry& entry) const {
   return entry.doc.get();
 }
 
-const WebGraph::DocEntry* WebGraph::EntryFor(std::string_view url) const {
-  auto parsed = html::ParseUrl(url);
-  if (!parsed.ok()) return nullptr;
-  auto it = by_key_.find(parsed->ResourceKey());
-  return it == by_key_.end() ? nullptr : &entries_[it->second];
+uint32_t WebGraph::IdForKey(std::string_view key) const {
+  const uint32_t id = keys_.Lookup(key);
+  return id != common::StringInterner::kInvalidId && entries_[id].live
+             ? id
+             : common::StringInterner::kInvalidId;
 }
 
-void WebGraph::EraseEntry(uint32_t index) {
-  DocEntry& entry = entries_[index];
+uint32_t WebGraph::IdFor(std::string_view url) const {
+  auto parsed = html::ParseUrl(url);
+  if (!parsed.ok()) return common::StringInterner::kInvalidId;
+  return IdForKey(parsed->ResourceKey());
+}
+
+std::vector<uint32_t> WebGraph::SortedIds(std::vector<uint32_t> ids) const {
+  std::sort(ids.begin(), ids.end(), [this](uint32_t a, uint32_t b) {
+    return keys_.View(a) < keys_.View(b);
+  });
+  return ids;
+}
+
+void WebGraph::EraseEntry(uint32_t id) {
+  DocEntry& entry = entries_[id];
   if (entry.doc != nullptr) {
     --materialized_;
     entry.doc.reset();
   }
-  const std::string_view key = strings_.View(entry.key_id);
-  const std::string_view host = strings_.View(entry.host_id);
-  by_key_.erase(key);
-  auto hit = host_index_.find(host);
-  if (hit != host_index_.end()) {
-    hit->second.erase(key);
-    if (hit->second.empty()) host_index_.erase(hit);
-  }
-  entry.key_id = common::StringInterner::kInvalidId;  // tombstone
+  // Host lists are unordered: swap the id out with the last one. Searching
+  // from the back makes RetireHost's back-to-front erasure O(1) each.
+  std::vector<uint32_t>& on_host = host_slots_[entry.host_id].entries;
+  *std::find(on_host.rbegin(), on_host.rend(), id) = on_host.back();
+  on_host.pop_back();
+  entry.live = false;  // tombstone
   entry.lazy = false;
   --live_count_;
 }
@@ -125,12 +142,12 @@ Status WebGraph::UpdateDocument(std::string_view url, std::string html) {
   html::Url parsed_url;
   WEBDIS_ASSIGN_OR_RETURN(parsed_url, html::ParseUrl(url));
   const std::string key = parsed_url.ResourceKey();
-  auto it = by_key_.find(key);
-  if (it == by_key_.end()) {
+  const uint32_t id = IdForKey(key);
+  if (id == common::StringInterner::kInvalidId) {
     return Status::InvalidArgument(
         StringPrintf("no such document '%s'", key.c_str()));
   }
-  Document* doc = Materialize(entries_[it->second]);
+  Document* doc = Materialize(id);
   SetBody(doc, std::move(html));
   ++doc->version;
   if (history_enabled_) {
@@ -143,39 +160,33 @@ Status WebGraph::RemoveDocument(std::string_view url) {
   html::Url parsed_url;
   WEBDIS_ASSIGN_OR_RETURN(parsed_url, html::ParseUrl(url));
   const std::string key = parsed_url.ResourceKey();
-  auto it = by_key_.find(key);
-  if (it == by_key_.end()) {
+  const uint32_t id = IdForKey(key);
+  if (id == common::StringInterner::kInvalidId) {
     return Status::InvalidArgument(
         StringPrintf("no such document '%s'", key.c_str()));
   }
-  EraseEntry(it->second);
+  EraseEntry(id);
   return Status::OK();
 }
 
 Status WebGraph::RetireHost(std::string_view host) {
-  auto hit = host_index_.find(host);
-  const bool removed_any = hit != host_index_.end();
-  if (!removed_any && !HostRetired(host)) {
+  const uint32_t host_id = hosts_.Lookup(host);
+  if (host_id == common::StringInterner::kInvalidId ||
+      (host_slots_[host_id].entries.empty() &&
+       !host_slots_[host_id].retired)) {
     return Status::InvalidArgument(
         StringPrintf("no documents on host '%.*s'",
                      static_cast<int>(host.size()), host.data()));
   }
-  if (removed_any) {
-    // Snapshot the entry indexes first: EraseEntry rewrites the bucket and
-    // drops it once empty.
-    std::vector<uint32_t> indexes;
-    indexes.reserve(hit->second.size());
-    for (const auto& [key, index] : hit->second) indexes.push_back(index);
-    for (uint32_t index : indexes) EraseEntry(index);
-  }
-  retired_hosts_.insert(strings_.Intern(host));
+  HostSlot& slot = host_slots_[host_id];
+  while (!slot.entries.empty()) EraseEntry(slot.entries.back());
+  slot.retired = true;
   return Status::OK();
 }
 
 bool WebGraph::HostRetired(std::string_view host) const {
-  const uint32_t id = strings_.Lookup(host);
-  return id != common::StringInterner::kInvalidId &&
-         retired_hosts_.find(id) != retired_hosts_.end();
+  const uint32_t id = hosts_.Lookup(host);
+  return id != common::StringInterner::kInvalidId && host_slots_[id].retired;
 }
 
 void WebGraph::EnableHistory() {
@@ -183,9 +194,10 @@ void WebGraph::EnableHistory() {
   history_enabled_ = true;
   // Backfill current versions so every live (key, version) pair resolves —
   // materializing lazy documents, since history stores full bodies.
-  for (const auto& [key, index] : by_key_) {
-    const Document* doc = Materialize(entries_[index]);
-    history_[{std::string(key), doc->version}] = doc->raw_html;
+  for (uint32_t id = 0; id < entries_.size(); ++id) {
+    if (!entries_[id].live) continue;
+    const Document* doc = Materialize(id);
+    history_[{std::string(keys_.View(id)), doc->version}] = doc->raw_html;
   }
 }
 
@@ -198,58 +210,62 @@ const std::string* WebGraph::HistoricalHtml(std::string_view url,
 }
 
 const WebGraph::Document* WebGraph::Find(std::string_view url) const {
-  const DocEntry* entry = EntryFor(url);
-  return entry == nullptr ? nullptr : Materialize(*entry);
+  const uint32_t id = IdFor(url);
+  return id == common::StringInterner::kInvalidId ? nullptr : Materialize(id);
 }
 
 bool WebGraph::Has(std::string_view url) const {
-  return EntryFor(url) != nullptr;
+  return IdFor(url) != common::StringInterner::kInvalidId;
 }
 
 std::vector<std::string> WebGraph::AllUrls() const {
+  std::vector<uint32_t> ids;
+  ids.reserve(live_count_);
+  for (uint32_t id = 0; id < entries_.size(); ++id) {
+    if (entries_[id].live) ids.push_back(id);
+  }
   std::vector<std::string> urls;
-  urls.reserve(by_key_.size());
-  for (const auto& [key, index] : by_key_) urls.emplace_back(key);
+  urls.reserve(ids.size());
+  for (uint32_t id : SortedIds(std::move(ids))) {
+    urls.emplace_back(keys_.View(id));
+  }
   return urls;
 }
 
 std::vector<std::string> WebGraph::Hosts() const {
   std::vector<std::string> hosts;
-  hosts.reserve(host_index_.size());
-  for (const auto& [host, bucket] : host_index_) hosts.emplace_back(host);
+  for (uint32_t id = 0; id < host_slots_.size(); ++id) {
+    if (!host_slots_[id].entries.empty()) hosts.emplace_back(hosts_.View(id));
+  }
+  std::sort(hosts.begin(), hosts.end());
   return hosts;
 }
 
 std::vector<std::string> WebGraph::UrlsOnHost(std::string_view host) const {
   std::vector<std::string> urls;
-  auto hit = host_index_.find(host);
-  if (hit == host_index_.end()) return urls;
-  urls.reserve(hit->second.size());
-  for (const auto& [key, index] : hit->second) urls.emplace_back(key);
+  const uint32_t host_id = hosts_.Lookup(host);
+  if (host_id == common::StringInterner::kInvalidId) return urls;
+  const std::vector<uint32_t>& on_host = host_slots_[host_id].entries;
+  urls.reserve(on_host.size());
+  for (uint32_t id : SortedIds(on_host)) urls.emplace_back(keys_.View(id));
   return urls;
 }
 
 size_t WebGraph::TotalHtmlBytes() const {
   size_t total = 0;
-  for (const auto& [key, index] : by_key_) {
-    total += Materialize(entries_[index])->raw_html.size();
+  for (uint32_t id = 0; id < entries_.size(); ++id) {
+    if (entries_[id].live) total += Materialize(id)->raw_html.size();
   }
   return total;
 }
 
 size_t WebGraph::ApproxTableBytes() const {
-  // Red-black-tree node overhead estimate, matching StringInterner's.
-  constexpr size_t kNode = 40;
-  size_t bytes = strings_.ApproxBytes();
+  size_t bytes = keys_.ApproxBytes() + hosts_.ApproxBytes();
   bytes += entries_.size() * sizeof(DocEntry);
-  bytes += by_key_.size() *
-           (sizeof(std::string_view) + sizeof(uint32_t) + kNode);
-  for (const auto& [host, bucket] : host_index_) {
-    bytes += sizeof(std::string_view) + kNode +
-             bucket.size() * (sizeof(std::string_view) + sizeof(uint32_t) +
-                              kNode);
+  bytes += host_slots_.capacity() * sizeof(HostSlot);
+  for (const HostSlot& slot : host_slots_) {
+    bytes += slot.entries.capacity() * sizeof(uint32_t);
   }
-  bytes += retired_hosts_.size() * (sizeof(uint32_t) + kNode);
   return bytes;
 }
 

@@ -6,7 +6,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -24,9 +23,10 @@ namespace webdis::web {
 /// and document contents, which this class controls deterministically.
 ///
 /// Memory representation (DESIGN.md §8 "Web scale & memory representation"):
-/// URL keys and host names live once in an arena-backed string-interning
-/// pool; the document table and the per-host secondary index store 4-byte
-/// interned ids and arena views, never `std::string` copies. Documents may
+/// URL keys and host names live once in arena-backed string-interning
+/// pools; a key's interned id is its document's slot in the table, and the
+/// per-host index lists slot ids, so no table holds a `std::string` copy and
+/// only the interner indexes keys. Enumerations sort on demand. Documents may
 /// be *lazy*: added as (url, generator-aux) pairs and materialized — HTML
 /// rendered, parsed, cached — on first `Find`. Materialization is memoized
 /// and deterministic, so a lazy web behaves byte-identically to an eager one
@@ -58,8 +58,8 @@ class WebGraph {
       std::string_view key, uint64_t aux0, uint64_t aux1)>;
 
   WebGraph() = default;
-  // Deque moves steal nodes whole, so entry addresses (and the arena views
-  // in the indexes) survive a move intact.
+  // Moves steal the deque nodes and arena chunks whole, so entry addresses
+  // and interned views survive a move intact.
   WebGraph(WebGraph&&) = default;
   WebGraph& operator=(WebGraph&&) = default;
   WebGraph(const WebGraph&) = delete;
@@ -133,7 +133,7 @@ class WebGraph {
   std::vector<std::string> Hosts() const;
 
   /// Resource keys of documents on one host, sorted. Served from the
-  /// per-host secondary index: O(log hosts + k), never a full-table scan.
+  /// per-host index: O(k log k) for k documents, never a full-table scan.
   std::vector<std::string> UrlsOnHost(std::string_view host) const;
 
   size_t num_documents() const { return live_count_; }
@@ -155,43 +155,54 @@ class WebGraph {
 
  private:
   /// Table slot: everything the graph knows about a document before (and
-  /// besides) its materialized body. ~64 bytes, URL stored as interned ids.
+  /// besides) its materialized body. Its resource key is implicit: the slot
+  /// number is the key's id in `keys_`. A removed document leaves a
+  /// tombstone (live=false) that re-adding the same URL revives.
   struct DocEntry {
-    uint32_t key_id = common::StringInterner::kInvalidId;
-    uint32_t host_id = common::StringInterner::kInvalidId;
+    uint32_t host_id = common::StringInterner::kInvalidId;  // in hosts_
+    bool live = false;
+    bool lazy = false;
     uint64_t born_epoch = 1;
     uint64_t aux0 = 0;  // PageGenerator parameters (lazy entries)
     uint64_t aux1 = 0;
-    bool lazy = false;
     /// Materialized body, null until first fetch. Mutable:
     /// materialization is a memoization, observable only through the const
     /// Find path.
     mutable std::unique_ptr<Document> doc;
   };
 
+  /// Per-host index slot, addressed by the host's id in `hosts_`.
+  struct HostSlot {
+    std::vector<uint32_t> entries;  // live entry ids, unordered
+    bool retired = false;
+  };
+
   /// Common head of AddDocument / AddLazyDocument: parses the URL (into
-  /// `parsed_out`), interns the key/host, appends the entry, and wires both
-  /// indexes. Returns the new entry.
-  Result<DocEntry*> AddEntry(std::string_view url, html::Url* parsed_out);
+  /// `parsed_out`), interns the key/host, fills (or revives) the key's
+  /// slot, and files it under its host. Returns the entry's id.
+  Result<uint32_t> AddEntry(std::string_view url, html::Url* parsed_out);
   /// The entry's Document, rendered and parsed first if still lazy
   /// (memoized).
-  Document* Materialize(const DocEntry& entry) const;
-  /// Looks an entry up by resource key; nullptr if absent.
-  const DocEntry* EntryFor(std::string_view url) const;
-  /// Unlinks one entry from both indexes and frees its document.
-  void EraseEntry(uint32_t index);
+  Document* Materialize(uint32_t id) const;
+  /// The live entry id for a resource key; kInvalidId if absent.
+  uint32_t IdForKey(std::string_view key) const;
+  /// The live entry id a URL names; kInvalidId if absent or unparsable.
+  uint32_t IdFor(std::string_view url) const;
+  /// `ids` sorted by resource key: the order every enumeration returns.
+  std::vector<uint32_t> SortedIds(std::vector<uint32_t> ids) const;
+  /// Unlinks one entry from its host and tombstones it.
+  void EraseEntry(uint32_t id);
 
-  common::StringInterner strings_;
-  std::deque<DocEntry> entries_;  // stable addresses; tombstoned on erase
   // -- arena-backed document tables ------------------------------------
   // webdis-lint: interned-tables-begin
-  // Keys are views into the interner arena and values are interned ids /
-  // entry indexes — never std::string copies (enforced by the
-  // web-interned-tables lint rule).
-  std::map<std::string_view, uint32_t> by_key_;  // resource key -> entry
-  std::map<std::string_view, std::map<std::string_view, uint32_t>>
-      host_index_;  // host -> (resource key -> entry), the per-host index
-  std::set<uint32_t> retired_hosts_;  // interned host ids
+  // One index: `keys_` maps a resource key to its id, and that id is the
+  // entry's slot. Hosts are interned separately so host ids are dense
+  // too. No std::string copies (enforced by the web-interned-tables lint
+  // rule).
+  common::StringInterner keys_;
+  common::StringInterner hosts_;
+  std::deque<DocEntry> entries_;      // entries_[key id]
+  std::vector<HostSlot> host_slots_;  // host_slots_[host id]
   // webdis-lint: interned-tables-end
   size_t live_count_ = 0;
   mutable size_t materialized_ = 0;

@@ -32,34 +32,36 @@ std::string FillerParagraph(Rng* rng, int words) {
 
 /// Performs one document's generator draws and builds its page spec. This is
 /// the single source of truth for per-document draw order: the eager build,
-/// the lazy build pass (which discards the spec but must advance `rng`
-/// through the same data-dependent structure draws), and lazy first-fetch
-/// replay all run it, so the three paths cannot drift apart.
+/// the lazy build pass (which needs only to advance `rng` through the same
+/// data-dependent structure draws), and lazy first-fetch replay all run it,
+/// so the three paths cannot drift apart.
 ///
-/// With want_text=false the filler paragraphs are not generated; `text_rng`
-/// is advanced past them in O(1) (each word costs exactly one draw), which
-/// is what makes the lazy build pass cheap at 10⁵–10⁶ documents.
+/// With want_text=false the draws are made but no string is built and an
+/// empty spec is returned: `text_rng` is advanced past the filler in O(1)
+/// (each word costs exactly one draw), and titles, hr blocks and link URLs
+/// are skipped. That is what makes the lazy build pass cheap at 10⁵–10⁶
+/// documents.
 PageSpec BuildPageSpec(const SynthWebOptions& options, int site, int doc,
                        Rng* rng, Rng* text_rng, bool want_text) {
   PageSpec spec;
   const bool title_hit = rng->Bernoulli(options.title_keyword_prob);
   const bool body_hit = rng->Bernoulli(options.body_keyword_prob);
-  spec.title = StringPrintf(
-      "%sdocument %d on site %d",
-      title_hit ? std::string(kTitleKeyword).append(" ").c_str() : "",
-      doc, site);
   if (want_text) {
+    spec.title = StringPrintf(
+        "%sdocument %d on site %d",
+        title_hit ? std::string(kTitleKeyword).append(" ").c_str() : "",
+        doc, site);
     for (int p = 0; p < options.filler_paragraphs; ++p) {
       spec.paragraphs.push_back(
           FillerParagraph(text_rng, options.words_per_paragraph));
     }
+    spec.hr_blocks.push_back(body_hit
+                                 ? std::string(kBodyKeyword) + " marker block"
+                                 : "plain marker block");
   } else {
     text_rng->Skip(static_cast<uint64_t>(options.filler_paragraphs) *
                    static_cast<uint64_t>(options.words_per_paragraph));
   }
-  spec.hr_blocks.push_back(body_hit
-                               ? std::string(kBodyKeyword) + " marker block"
-                               : "plain marker block");
   // Local links: to other documents on this site (never self).
   for (int l = 0; l < options.local_links_per_doc; ++l) {
     if (options.docs_per_site < 2) break;
@@ -68,7 +70,7 @@ PageSpec BuildPageSpec(const SynthWebOptions& options, int site, int doc,
       target = static_cast<int>(
           rng->Uniform(static_cast<uint64_t>(options.docs_per_site)));
     }
-    spec.links.push_back({SynthUrl(site, target), "local link"});
+    if (want_text) spec.links.push_back({SynthUrl(site, target), "local link"});
   }
   // Global links: to documents on other sites.
   for (int g = 0; g < options.global_links_per_doc; ++g) {
@@ -80,7 +82,9 @@ PageSpec BuildPageSpec(const SynthWebOptions& options, int site, int doc,
     }
     const int target_doc = static_cast<int>(
         rng->Uniform(static_cast<uint64_t>(options.docs_per_site)));
-    spec.links.push_back({SynthUrl(target_site, target_doc), "global link"});
+    if (want_text) {
+      spec.links.push_back({SynthUrl(target_site, target_doc), "global link"});
+    }
   }
   return spec;
 }
@@ -95,11 +99,11 @@ bool ParseSynthKey(std::string_view key, int* site, int* doc) {
 }  // namespace
 
 std::string SynthHost(int site) {
-  return StringPrintf("site%d.example", site);
+  return "site" + std::to_string(site) + ".example";
 }
 
 std::string SynthUrl(int site, int doc) {
-  return StringPrintf("http://site%d.example/doc%d", site, doc);
+  return "http://" + SynthHost(site) + "/doc" + std::to_string(doc);
 }
 
 WebGraph GenerateSynthWeb(const SynthWebOptions& options) {

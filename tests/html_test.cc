@@ -158,7 +158,10 @@ TEST(EntitiesTest, UnknownAndMalformedPassThrough) {
 
 TEST(EntitiesTest, EscapeRoundTrip) {
   const std::string original = "a & b < c > \"d\"";
-  EXPECT_EQ(DecodeEntities(EscapeForHtml(original)), original);
+  std::string escaped = "kept:";  // EscapeForHtmlTo appends
+  EscapeForHtmlTo(original, escaped);
+  EXPECT_EQ(escaped, "kept:a &amp; b &lt; c &gt; &quot;d&quot;");
+  EXPECT_EQ(DecodeEntities(escaped.substr(5)), original);
 }
 
 // -- Tokenizer ------------------------------------------------------------------

@@ -177,6 +177,16 @@ TEST(PreDepthCapTest, EveryAcceptedPreRoundTrips) {
   EXPECT_FALSE(ParsesAndRoundTrips(alternation(1025)));
 }
 
+TEST(PreDepthCapTest, WideAlternationIsInvalidArgument) {
+  // 16,000 distinct branches survive dedup (which hashes their keys, so
+  // this stays linear), and the kMaxOperands cap refuses the result.
+  std::string text = "L*1";
+  for (int i = 2; i <= 16000; ++i) text += "|L*" + std::to_string(i);
+  auto parsed = Pre::Parse(text);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(PreParseTest, ToStringRoundTrip) {
   for (const char* text :
        {"L", "N", "G.(G | L)", "N | G.L*4", "L*", "(L | G)*3.I",
@@ -315,6 +325,10 @@ TEST(PreEqualsTest, AlternationOrderInsensitive) {
 
 TEST(PreEqualsTest, DuplicateAltBranchesCollapse) {
   EXPECT_TRUE(P("L | L").Equals(P("L")));
+  // Repeats drop out and the survivors keep their first-occurrence order,
+  // also across a nested alternation that flattens into the outer one.
+  EXPECT_EQ(P("G.L | L*2 | G.L | (N | L*2) | I | L*2 | N").ToString(),
+            "G.L | L*2 | N | I");
 }
 
 TEST(PreEqualsTest, EpsilonConcatIdentity) {

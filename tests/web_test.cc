@@ -3,7 +3,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 
+#include "common/rng.h"
 #include "common/strings.h"
 #include "tests/legacy_parser.h"
 #include "web/fileweb.h"
@@ -174,6 +177,125 @@ TEST(WebGraphTest, ApproxTableBytesExcludesBodies) {
   ASSERT_NE(web.Find("http://h/7"), nullptr);
   // Materializing a 64 KB body must not move the *table* footprint.
   EXPECT_EQ(web.ApproxTableBytes(), at_rest);
+}
+
+// Differential oracle for the table: seeded random sequences of adds (eager
+// and lazy, re-adds of removed URLs, adds on retired hosts), fetches, edits,
+// removals and retirements, checked after every step against a plain
+// std::map model of what the web should hold.
+TEST(WebGraphTest, RandomOperationsMatchMapModel) {
+  constexpr int kHosts = 4;
+  constexpr int kPaths = 8;
+  const auto host_name = [](int h) {
+    return "h" + std::to_string(h) + ".example";
+  };
+  const auto lazy_body = [](std::string_view key, uint64_t aux0,
+                            uint64_t aux1) {
+    return "<title>" + std::string(key) + "</title>" +
+           std::to_string(aux0) + "/" + std::to_string(aux1);
+  };
+  struct ModelDoc {
+    std::string body;
+    bool materialized = false;
+  };
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    WebGraph web;
+    web.SetPageGenerator(lazy_body);
+    std::map<std::string, ModelDoc> model;  // resource key -> document
+    std::set<std::string> retired;
+    for (int step = 0; step < 300; ++step) {
+      const int h = static_cast<int>(rng.Uniform(kHosts));
+      const std::string host = host_name(h);
+      const std::string url =
+          "http://" + host + "/p" + std::to_string(rng.Uniform(kPaths));
+      const bool present = model.count(url) > 0;
+      switch (rng.Uniform(7)) {
+        case 0: {  // eager add (a re-add when the URL was removed)
+          const std::string body = "<title>e" + std::to_string(step) +
+                                   "</title>";
+          EXPECT_EQ(web.AddDocument(url, body).ok(), !present);
+          if (!present) model[url] = {body, true};
+          break;
+        }
+        case 1: {  // lazy add
+          const uint64_t aux0 = rng.Next();
+          const uint64_t aux1 = rng.Next();
+          EXPECT_EQ(web.AddLazyDocument(url, aux0, aux1).ok(), !present);
+          if (!present) model[url] = {lazy_body(url, aux0, aux1), false};
+          break;
+        }
+        case 2:
+        case 3: {  // fetch
+          const WebGraph::Document* doc = web.Find(url);
+          ASSERT_EQ(doc != nullptr, present);
+          if (present) {
+            EXPECT_EQ(doc->raw_html, model[url].body);
+            model[url].materialized = true;
+          }
+          break;
+        }
+        case 4: {  // edit
+          const std::string body = "<title>u" + std::to_string(step) +
+                                   "</title>";
+          EXPECT_EQ(web.UpdateDocument(url, body).ok(), present);
+          if (present) model[url] = {body, true};
+          break;
+        }
+        case 5:  // remove
+          EXPECT_EQ(web.RemoveDocument(url).ok(), present);
+          model.erase(url);
+          break;
+        default: {  // retire the whole host (rarely succeeds twice)
+          const std::string prefix = "http://" + host + "/";
+          bool on_host = false;
+          for (auto it = model.begin(); it != model.end();) {
+            if (it->first.compare(0, prefix.size(), prefix) == 0) {
+              on_host = true;
+              it = model.erase(it);
+            } else {
+              ++it;
+            }
+          }
+          EXPECT_EQ(web.RetireHost(host).ok(),
+                    on_host || retired.count(host) > 0);
+          if (on_host || retired.count(host) > 0) retired.insert(host);
+          break;
+        }
+      }
+      // Every observable of the table agrees with the model.
+      std::vector<std::string> keys;
+      std::set<std::string> hosts;
+      size_t materialized = 0;
+      for (const auto& [key, doc] : model) {
+        keys.push_back(key);
+        hosts.insert(key.substr(7, key.find('/', 7) - 7));
+        materialized += doc.materialized ? 1 : 0;
+      }
+      ASSERT_EQ(web.AllUrls(), keys);
+      ASSERT_EQ(web.Hosts(),
+                std::vector<std::string>(hosts.begin(), hosts.end()));
+      ASSERT_EQ(web.num_documents(), model.size());
+      ASSERT_EQ(web.num_materialized(), materialized);
+      for (int other = 0; other < kHosts; ++other) {
+        const std::string name = host_name(other);
+        std::vector<std::string> on_host;
+        for (const std::string& key : keys) {
+          if (key.compare(7, name.size() + 1, name + "/") == 0) {
+            on_host.push_back(key);
+          }
+        }
+        ASSERT_EQ(web.UrlsOnHost(name), on_host);
+        ASSERT_EQ(web.HostRetired(name), retired.count(name) > 0);
+      }
+      for (int p = 0; p < kPaths; ++p) {
+        const std::string probe =
+            "http://" + host + "/p" + std::to_string(p);
+        ASSERT_EQ(web.Has(probe), model.count(probe) > 0);
+      }
+    }
+  }
 }
 
 // -- Page generator --------------------------------------------------------------
