@@ -322,13 +322,14 @@ RunOutcome Engine::CollectOutcome(const query::QueryId& id,
   outcome.epoch_gated_nodes = run->epoch_gated_nodes;
   // §10 freshness classification: compare each report's stamped version
   // against the web as it stands now. Versions only grow, so "different"
-  // always means "edited after the visit".
+  // always means "edited after the visit". VersionOf renders nothing, so a
+  // lazy web does not re-render every visited page here.
   for (const auto& [url, stamped] : run->node_versions) {
-    const web::WebGraph::Document* doc = web_->Find(url);
-    if (doc == nullptr) {
+    const uint64_t version = web_->VersionOf(url);
+    if (version == 0) {
       ++outcome.superseded_nodes;
       outcome.superseded_node_urls.push_back(url);
-    } else if (doc->version == stamped) {
+    } else if (version == stamped) {
       ++outcome.fresh_nodes;
     } else {
       ++outcome.stale_consistent_nodes;

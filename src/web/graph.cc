@@ -10,9 +10,9 @@ namespace webdis::web {
 
 namespace {
 
-// Parses `html` as `doc`'s body and stores both at exact size: a
-// materialized page holds no growth slack (DESIGN.md §8). The parser
-// already returns its text buffer at exact size.
+// Parses `html` as `doc`'s body and stores both at exact size: a page
+// holds no growth slack (DESIGN.md §8). The parser already returns its text
+// buffer at exact size.
 void SetBody(WebGraph::Document* doc, std::string html) {
   doc->parsed = html::ParseDocument(doc->url, html);
   html.shrink_to_fit();
@@ -58,7 +58,7 @@ Status WebGraph::AddDocument(std::string_view url, std::string html) {
     history_[{doc->url.ResourceKey(), doc->version}] = doc->raw_html;
   }
   entry.doc = std::move(doc);
-  ++materialized_;
+  CountRendered(entry);
   return Status::OK();
 }
 
@@ -72,34 +72,45 @@ Status WebGraph::AddLazyDocument(std::string_view url, uint64_t aux0,
   uint32_t id = 0;
   WEBDIS_ASSIGN_OR_RETURN(id, AddEntry(url, &parsed_url));
   DocEntry& entry = entries_[id];
-  entry.lazy = true;
   entry.aux0 = aux0;
   entry.aux1 = aux1;
   if (history_enabled_) {
     // History needs every body; a lazy add during oracle recording is
-    // materialized on the spot so the (key, version) record exists.
-    Document* doc = Materialize(id);
+    // rendered on the spot so the (key, version) record exists.
+    const Document* doc = Materialize(id);
     history_[{doc->url.ResourceKey(), doc->version}] = doc->raw_html;
   }
   return Status::OK();
 }
 
-WebGraph::Document* WebGraph::Materialize(uint32_t id) const {
-  const DocEntry& entry = entries_[id];
-  if (entry.doc != nullptr) return entry.doc.get();
-  WEBDIS_CHECK(entry.lazy);
-  WEBDIS_CHECK(generator_ != nullptr);
-  const std::string_view key = keys_.View(id);
-  auto parsed = html::ParseUrl(key);
+std::unique_ptr<WebGraph::Document> WebGraph::NewDocument(
+    uint32_t id) const {
+  auto parsed = html::ParseUrl(keys_.View(id));
   WEBDIS_CHECK(parsed.ok());  // the key round-trips: it was parsed at add
   auto doc = std::make_unique<Document>();
   doc->url = std::move(parsed).value();
-  std::string html = generator_(key, entry.aux0, entry.aux1);
-  SetBody(doc.get(), std::move(html));
-  doc->born_epoch = entry.born_epoch;
-  entry.doc = std::move(doc);
+  doc->born_epoch = entries_[id].born_epoch;
+  return doc;
+}
+
+void WebGraph::CountRendered(const DocEntry& entry) const {
+  if (entry.rendered) return;
+  entry.rendered = true;
   ++materialized_;
-  return entry.doc.get();
+}
+
+const WebGraph::Document* WebGraph::Materialize(uint32_t id) const {
+  const DocEntry& entry = entries_[id];
+  if (entry.doc != nullptr) return entry.doc.get();
+  if (slot_id_ != id) {
+    WEBDIS_CHECK(generator_ != nullptr);
+    std::unique_ptr<Document> doc = NewDocument(id);
+    SetBody(doc.get(), generator_(keys_.View(id), entry.aux0, entry.aux1));
+    slot_ = std::move(doc);  // the previous lazy page is freed here
+    slot_id_ = id;
+    CountRendered(entry);
+  }
+  return slot_.get();
 }
 
 uint32_t WebGraph::IdForKey(std::string_view key) const {
@@ -110,6 +121,12 @@ uint32_t WebGraph::IdForKey(std::string_view key) const {
 }
 
 uint32_t WebGraph::IdFor(std::string_view url) const {
+  // Keys are fixpoints of ResourceKey∘ParseUrl (fuzz_url pins this), so a
+  // URL that is itself a stored key names that key's entry: no parse.
+  const uint32_t id = keys_.Lookup(url);
+  if (id != common::StringInterner::kInvalidId) {
+    return entries_[id].live ? id : common::StringInterner::kInvalidId;
+  }
   auto parsed = html::ParseUrl(url);
   if (!parsed.ok()) return common::StringInterner::kInvalidId;
   return IdForKey(parsed->ResourceKey());
@@ -124,9 +141,11 @@ std::vector<uint32_t> WebGraph::SortedIds(std::vector<uint32_t> ids) const {
 
 void WebGraph::EraseEntry(uint32_t id) {
   DocEntry& entry = entries_[id];
-  if (entry.doc != nullptr) {
-    --materialized_;
-    entry.doc.reset();
+  if (entry.rendered) --materialized_;
+  entry.doc.reset();
+  if (slot_id_ == id) {
+    slot_.reset();
+    slot_id_ = common::StringInterner::kInvalidId;
   }
   // Host lists are unordered: swap the id out with the last one. Searching
   // from the back makes RetireHost's back-to-front erasure O(1) each.
@@ -134,7 +153,6 @@ void WebGraph::EraseEntry(uint32_t id) {
   *std::find(on_host.rbegin(), on_host.rend(), id) = on_host.back();
   on_host.pop_back();
   entry.live = false;  // tombstone
-  entry.lazy = false;
   --live_count_;
 }
 
@@ -147,7 +165,19 @@ Status WebGraph::UpdateDocument(std::string_view url, std::string html) {
     return Status::InvalidArgument(
         StringPrintf("no such document '%s'", key.c_str()));
   }
-  Document* doc = Materialize(id);
+  DocEntry& entry = entries_[id];
+  if (entry.doc == nullptr) {
+    // An edited lazy document owns its body from now on. The slot's body
+    // moves over whole, so a pointer Find returned for it stays valid.
+    if (slot_id_ == id) {
+      entry.doc = std::move(slot_);
+      slot_id_ = common::StringInterner::kInvalidId;
+    } else {
+      entry.doc = NewDocument(id);  // the old body is about to be replaced
+    }
+    CountRendered(entry);
+  }
+  Document* doc = entry.doc.get();
   SetBody(doc, std::move(html));
   ++doc->version;
   if (history_enabled_) {
@@ -193,7 +223,7 @@ void WebGraph::EnableHistory() {
   if (history_enabled_) return;
   history_enabled_ = true;
   // Backfill current versions so every live (key, version) pair resolves —
-  // materializing lazy documents, since history stores full bodies.
+  // rendering lazy documents, since history stores full bodies.
   for (uint32_t id = 0; id < entries_.size(); ++id) {
     if (!entries_[id].live) continue;
     const Document* doc = Materialize(id);
@@ -212,6 +242,13 @@ const std::string* WebGraph::HistoricalHtml(std::string_view url,
 const WebGraph::Document* WebGraph::Find(std::string_view url) const {
   const uint32_t id = IdFor(url);
   return id == common::StringInterner::kInvalidId ? nullptr : Materialize(id);
+}
+
+uint64_t WebGraph::VersionOf(std::string_view url) const {
+  const uint32_t id = IdFor(url);
+  if (id == common::StringInterner::kInvalidId) return 0;
+  const DocEntry& entry = entries_[id];
+  return entry.doc != nullptr ? entry.doc->version : 1;
 }
 
 bool WebGraph::Has(std::string_view url) const {

@@ -130,6 +130,153 @@ TEST(WebGraphTest, LazyDocumentMaterializesOnFirstFind) {
   EXPECT_EQ(web.num_documents(), 2u);
 }
 
+// A PageGenerator that counts its renders: the body names the key and aux0.
+struct CountingGenerator {
+  int* renders;
+  std::string operator()(std::string_view key, uint64_t aux0,
+                         uint64_t) const {
+    ++*renders;
+    return "<title>" + std::string(key) + " " + std::to_string(aux0) +
+           "</title>";
+  }
+};
+
+TEST(WebGraphSlotTest, RepeatFindReturnsTheSlotWithoutRendering) {
+  int renders = 0;
+  WebGraph web;
+  web.SetPageGenerator(CountingGenerator{&renders});
+  ASSERT_TRUE(web.AddLazyDocument("http://a/1", 1, 0).ok());
+  ASSERT_TRUE(web.AddLazyDocument("http://a/2", 2, 0).ok());
+  ASSERT_TRUE(web.AddDocument("http://a/e", "<title>eager</title>").ok());
+  const WebGraph::Document* one = web.Find("http://a/1");
+  ASSERT_NE(one, nullptr);
+  EXPECT_EQ(renders, 1);
+  EXPECT_EQ(web.Find("http://a/1"), one);
+  EXPECT_EQ(renders, 1);
+  // An eager lookup leaves the slot alone.
+  ASSERT_NE(web.Find("http://a/e"), nullptr);
+  EXPECT_EQ(web.Find("http://a/1"), one);
+  EXPECT_EQ(renders, 1);
+  // A different lazy page takes the slot; going back renders again.
+  EXPECT_EQ(web.Find("http://a/2")->parsed.title, "http://a/2 2");
+  EXPECT_EQ(renders, 2);
+  EXPECT_EQ(web.Find("http://a/1")->parsed.title, "http://a/1 1");
+  EXPECT_EQ(renders, 3);
+  // num_materialized counts distinct pages: a/1 and a/2 plus the eager one.
+  EXPECT_EQ(web.num_materialized(), 3u);
+}
+
+TEST(WebGraphSlotTest, VersionOfRendersNothing) {
+  int renders = 0;
+  WebGraph web;
+  web.SetPageGenerator(CountingGenerator{&renders});
+  ASSERT_TRUE(web.AddLazyDocument("http://a/1", 1, 0).ok());
+  ASSERT_TRUE(web.AddLazyDocument("http://a/2", 2, 0).ok());
+  ASSERT_TRUE(web.AddDocument("http://a/e", "<title>eager</title>").ok());
+  EXPECT_EQ(web.VersionOf("http://a/1"), 1u);
+  EXPECT_EQ(web.VersionOf("http://a/e"), 1u);
+  EXPECT_EQ(web.VersionOf("http://a/missing"), 0u);
+  EXPECT_EQ(web.VersionOf("not a url"), 0u);
+  ASSERT_TRUE(web.UpdateDocument("http://a/2", "<title>v2</title>").ok());
+  ASSERT_TRUE(web.UpdateDocument("http://a/e", "<title>e2</title>").ok());
+  ASSERT_TRUE(web.UpdateDocument("http://a/e", "<title>e3</title>").ok());
+  EXPECT_EQ(web.VersionOf("http://a/2"), 2u);
+  EXPECT_EQ(web.VersionOf("http://a/e"), 3u);
+  // An update replaces the whole body, so the lazy a/2 was never rendered.
+  EXPECT_EQ(renders, 0);
+  EXPECT_EQ(web.num_materialized(), 2u);  // a/2 (edited) and a/e
+}
+
+TEST(WebGraphSlotTest, UpdateOfTheSlotDocumentKeepsItsBytes) {
+  int renders = 0;
+  WebGraph web;
+  web.SetPageGenerator(CountingGenerator{&renders});
+  ASSERT_TRUE(web.AddLazyDocument("http://a/1", 1, 0).ok());
+  ASSERT_TRUE(web.AddLazyDocument("http://a/2", 2, 0).ok());
+  const WebGraph::Document* doc = web.Find("http://a/1");
+  ASSERT_NE(doc, nullptr);
+  ASSERT_TRUE(web.UpdateDocument("http://a/1", "<title>edit</title>").ok());
+  // The edit took the slot's body over: the same object, now owned.
+  EXPECT_EQ(web.Find("http://a/1"), doc);
+  EXPECT_EQ(doc->version, 2u);
+  EXPECT_EQ(doc->parsed.title, "edit");
+  // The slot moving on leaves the edited body alone.
+  ASSERT_NE(web.Find("http://a/2"), nullptr);
+  EXPECT_EQ(web.Find("http://a/1"), doc);
+  EXPECT_EQ(doc->raw_html, "<title>edit</title>");
+  EXPECT_EQ(web.VersionOf("http://a/1"), 2u);
+  EXPECT_EQ(renders, 2);  // a/1 once, a/2 once
+  EXPECT_EQ(web.num_materialized(), 2u);
+}
+
+TEST(WebGraphSlotTest, RemovingTheSlotDocumentEmptiesTheSlot) {
+  int renders = 0;
+  WebGraph web;
+  web.SetPageGenerator(CountingGenerator{&renders});
+  ASSERT_TRUE(web.AddLazyDocument("http://a/1", 1, 0).ok());
+  ASSERT_TRUE(web.AddLazyDocument("http://b/1", 1, 0).ok());
+  ASSERT_TRUE(web.AddLazyDocument("http://b/2", 2, 0).ok());
+
+  ASSERT_NE(web.Find("http://a/1"), nullptr);
+  ASSERT_TRUE(web.RemoveDocument("http://a/1").ok());
+  EXPECT_EQ(web.Find("http://a/1"), nullptr);
+  EXPECT_EQ(web.VersionOf("http://a/1"), 0u);
+  EXPECT_EQ(web.num_materialized(), 0u);
+  // A re-added page renders its new body, not the removed slot's.
+  ASSERT_TRUE(web.AddLazyDocument("http://a/1", 7, 0).ok());
+  EXPECT_EQ(web.Find("http://a/1")->parsed.title, "http://a/1 7");
+  EXPECT_EQ(renders, 2);
+
+  ASSERT_NE(web.Find("http://b/2"), nullptr);
+  ASSERT_TRUE(web.RetireHost("b").ok());
+  EXPECT_EQ(web.Find("http://b/2"), nullptr);
+  EXPECT_EQ(web.num_materialized(), 1u);  // a/1
+  ASSERT_TRUE(web.AddLazyDocument("http://b/2", 9, 0).ok());
+  EXPECT_EQ(web.Find("http://b/2")->parsed.title, "http://b/2 9");
+  EXPECT_EQ(renders, 4);
+  EXPECT_EQ(web.num_materialized(), 2u);
+}
+
+// Lookups try the URL as a stored key first and parse only on a miss. Keys
+// are fixpoints of ResourceKey∘ParseUrl, so every spelling must resolve as
+// parsing it and looking up its resource key would.
+TEST(WebGraphSlotTest, KeyFastPathAgreesWithParsedLookup) {
+  int renders = 0;
+  WebGraph web;
+  web.SetPageGenerator(CountingGenerator{&renders});
+  ASSERT_TRUE(web.AddDocument("http://a.example/x", "<title>x</title>").ok());
+  ASSERT_TRUE(web.AddLazyDocument("http://a.example:8080/y", 1, 0).ok());
+  ASSERT_TRUE(web.AddDocument("http://a.example/gone", "g").ok());
+  ASSERT_TRUE(web.RemoveDocument("http://a.example/gone").ok());
+  const std::set<std::string> stored = {"http://a.example/x",
+                                        "http://a.example:8080/y"};
+  const std::vector<std::string> spellings = {
+      "http://a.example/x",      "http://a.example/x#top",
+      " http://a.example/x ",    "http://a.example/./x",
+      "http://a.example/q/../x", "HTTP://a.example/x",
+      "http://A.EXAMPLE/x",      "http://a.example/X",
+      "http://a.example:80/x",   "http://a.example:8080/y",
+      "http://a.example:8080/y#f", "http://a.example/y",
+      "http://a.example/gone",   "http://a.example/gone#f",
+      "http://a.example",        "",
+  };
+  for (const std::string& url : spellings) {
+    SCOPED_TRACE("url='" + url + "'");
+    auto parsed = html::ParseUrl(url);
+    const std::string key = parsed.ok() ? parsed->ResourceKey() : "";
+    const bool present = stored.count(key) > 0;
+    EXPECT_EQ(web.Has(url), present);
+    EXPECT_EQ(web.VersionOf(url), present ? 1u : 0u);
+    const WebGraph::Document* doc = web.Find(url);
+    ASSERT_EQ(doc != nullptr, present);
+    if (present) {
+      EXPECT_EQ(doc, web.Find(key));
+    }
+  }
+  // Every spelling of the lazy page hit the one slot.
+  EXPECT_EQ(renders, 1);
+}
+
 TEST(WebGraphTest, UpdateOfLazyDocumentMaterializesAndBumpsVersion) {
   WebGraph web;
   web.SetPageGenerator([](std::string_view, uint64_t, uint64_t) {
@@ -197,14 +344,22 @@ TEST(WebGraphTest, RandomOperationsMatchMapModel) {
   struct ModelDoc {
     std::string body;
     bool materialized = false;
+    bool owned = false;  // eager or edited: the body outlives the slot
   };
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Rng rng(seed);
     WebGraph web;
-    web.SetPageGenerator(lazy_body);
+    int renders = 0;
+    web.SetPageGenerator([&](std::string_view key, uint64_t aux0,
+                             uint64_t aux1) {
+      ++renders;
+      return lazy_body(key, aux0, aux1);
+    });
     std::map<std::string, ModelDoc> model;  // resource key -> document
     std::set<std::string> retired;
+    std::string slot;  // the lazy page the graph holds rendered, if any
+    int slot_changes = 0;
     for (int step = 0; step < 300; ++step) {
       const int h = static_cast<int>(rng.Uniform(kHosts));
       const std::string host = host_name(h);
@@ -216,14 +371,16 @@ TEST(WebGraphTest, RandomOperationsMatchMapModel) {
           const std::string body = "<title>e" + std::to_string(step) +
                                    "</title>";
           EXPECT_EQ(web.AddDocument(url, body).ok(), !present);
-          if (!present) model[url] = {body, true};
+          if (!present) model[url] = {body, true, true};
           break;
         }
         case 1: {  // lazy add
           const uint64_t aux0 = rng.Next();
           const uint64_t aux1 = rng.Next();
           EXPECT_EQ(web.AddLazyDocument(url, aux0, aux1).ok(), !present);
-          if (!present) model[url] = {lazy_body(url, aux0, aux1), false};
+          if (!present) {
+            model[url] = {lazy_body(url, aux0, aux1), false, false};
+          }
           break;
         }
         case 2:
@@ -233,6 +390,10 @@ TEST(WebGraphTest, RandomOperationsMatchMapModel) {
           if (present) {
             EXPECT_EQ(doc->raw_html, model[url].body);
             model[url].materialized = true;
+            if (!model[url].owned && slot != url) {
+              slot = url;
+              ++slot_changes;
+            }
           }
           break;
         }
@@ -240,12 +401,14 @@ TEST(WebGraphTest, RandomOperationsMatchMapModel) {
           const std::string body = "<title>u" + std::to_string(step) +
                                    "</title>";
           EXPECT_EQ(web.UpdateDocument(url, body).ok(), present);
-          if (present) model[url] = {body, true};
+          if (present) model[url] = {body, true, true};
+          if (slot == url) slot.clear();  // the edit owns the slot's body
           break;
         }
         case 5:  // remove
           EXPECT_EQ(web.RemoveDocument(url).ok(), present);
           model.erase(url);
+          if (slot == url) slot.clear();
           break;
         default: {  // retire the whole host (rarely succeeds twice)
           const std::string prefix = "http://" + host + "/";
@@ -260,6 +423,7 @@ TEST(WebGraphTest, RandomOperationsMatchMapModel) {
           }
           EXPECT_EQ(web.RetireHost(host).ok(),
                     on_host || retired.count(host) > 0);
+          if (slot.compare(0, prefix.size(), prefix) == 0) slot.clear();
           if (on_host || retired.count(host) > 0) retired.insert(host);
           break;
         }
@@ -278,6 +442,8 @@ TEST(WebGraphTest, RandomOperationsMatchMapModel) {
                 std::vector<std::string>(hosts.begin(), hosts.end()));
       ASSERT_EQ(web.num_documents(), model.size());
       ASSERT_EQ(web.num_materialized(), materialized);
+      // Only a lazy Find that moves the slot renders.
+      ASSERT_EQ(renders, slot_changes);
       for (int other = 0; other < kHosts; ++other) {
         const std::string name = host_name(other);
         std::vector<std::string> on_host;
