@@ -31,7 +31,7 @@ struct SynthWebOptions {
   int words_per_paragraph = 40;
   /// When set, documents are registered lazily: the build pass records each
   /// document's captured RNG states instead of rendering HTML, and the page
-  /// is materialized on first fetch by replaying exactly the draws an eager
+  /// is rendered on each fetch by replaying exactly the draws an eager
   /// build would have made. Pages are byte-identical to lazy_pages=false —
   /// only memory timing changes — which is what lets benchmarks hold
   /// 10⁵–10⁶ documents without rendering them all up front.
